@@ -2,8 +2,8 @@
 
 The dense solve is delegated to scipy's shortest-augmenting-path solver
 (Jonker-Volgenant family, O(n^3)), which returns an exact integral optimum of
-the assignment LP. Blockwise solving concatenates per-block optima into one
-block-diagonal permutation.
+the assignment LP. Blockwise solving calls the same kernel once per block and
+concatenates the per-block optima into one block-diagonal permutation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ def solve_lap(C) -> tuple[Permutation, float]:
 
 
 def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
-    """Concatenated blockwise optima; result is block diagonal under the partition."""
+    """Concatenated blockwise optima; result is block diagonal under the partition.
+
+    Each block is checked (square of its partition size, finite) and solved
+    with the same kernel and tie-breaking as ``solve_lap``; the raw column
+    indices go straight into one index map, validated once at the end.
+    """
     if len(C_blocks) != partition.block_count:
         raise ShapeMismatch(
             f"got {len(C_blocks)} reward blocks for {partition.block_count} partition blocks")
@@ -41,6 +46,7 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
         block = np.asarray(block, dtype=np.float64)
         if block.shape != (size, size):
             raise ShapeMismatch(f"block at offset {offset} must be {size}x{size}, got {block.shape}")
-        p, _ = solve_lap(block)
-        out[offset:offset + size] = p.map + offset
+        if not np.isfinite(block).all():
+            raise NonFinite(f"reward block at offset {offset} contains NaN or Inf entries")
+        out[offset:offset + size] = linear_sum_assignment(block, maximize=True)[1] + offset
     return Permutation(out)

@@ -69,11 +69,20 @@ def _opt(args, config: dict, name: str, default):
     return default
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(grid) -> list[float]:
+    """Sweep values from a comma-separated string (flag or config) or a JSON list."""
+    if isinstance(grid, str):
+        values = [v for v in grid.split(",") if v.strip()]
+    elif isinstance(grid, list):
+        values = grid
+    else:
+        raise InvalidSpec(f"grid must be comma-separated numbers or a list, got {grid!r}")
+    if any(isinstance(v, bool) for v in values):
+        raise InvalidSpec(f"cannot parse grid {grid!r} as numbers")
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidSpec(f"cannot parse grid {text!r} as comma-separated numbers") from None
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"cannot parse grid {grid!r} as numbers") from None
 
 
 def _build_model(n: int, model_name: str, r, sizes, k):
@@ -151,7 +160,7 @@ def _result_metrics(instance: ProblemInstance, result) -> dict | None:
     if instance.p_star is not None:
         metrics["frac_distortion"] = hamming_distortion(result.p_hat, instance.p_star) / instance.n
     if instance.y_star is not None:
-        x_oracle, x_naive = oracle_and_naive(instance.B, instance.y_star, instance.Y)
+        x_oracle, x_naive = oracle_and_naive(instance.b_svd, instance.y_star, instance.Y)
         scored = evaluate(result.x_hat, x_oracle, instance.B, instance.y_star,
                           result.p_hat, instance.p_star)
         naive = evaluate(x_naive, x_oracle, instance.B, instance.y_star)
@@ -264,10 +273,10 @@ def cmd_bench(args) -> int:
     sweep = _opt(args, config, "sweep", None)
     if sweep not in ("r", "k", "sigma"):
         raise InvalidSpec("bench requires --sweep r|k|sigma")
-    grid_text = _opt(args, config, "grid", None)
-    if not grid_text:
+    grid_value = _opt(args, config, "grid", None)
+    if not grid_value:
         raise InvalidSpec("bench requires --grid v1,v2,...")
-    grid = sorted(set(_parse_grid(grid_text)))
+    grid = sorted(set(_parse_grid(grid_value)))
     seeds = int(_opt(args, config, "seeds", 15))
     if seeds < 1:
         raise InvalidSpec(f"seeds must be >= 1, got {seeds}")

@@ -20,13 +20,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (EmptyBlockRule, InvalidConfig, NonNumeric, ParseError,
                      ShapeMismatch)
-from .linalg import as_matrix, pinv_solve
+from .linalg import SvdFactors, as_matrix, svd
 from .permutation import (BlockPartition, KSparse, Permutation, PermutationModel,
                           RLocal, apply, hamming_distortion, sample_ksparse,
                           sample_rlocal)
@@ -39,7 +40,8 @@ class ProblemInstance:
     ``y_star`` holds the unpermuted observations (noiseless B @ X_star for
     synthetic instances, the original targets for ingested CSV data).
     ``source_rows`` maps the block-sorted rows of an ingested instance back to
-    the original file order.
+    the original file order. ``b_svd`` is the thin SVD of ``B``, computed on
+    first use and then shared by the solver and the scoring step.
     """
 
     B: np.ndarray
@@ -68,6 +70,10 @@ class ProblemInstance:
     @property
     def has_truth(self) -> bool:
         return self.p_star is not None
+
+    @cached_property
+    def b_svd(self) -> SvdFactors:
+        return svd(self.B)
 
 
 @dataclass(frozen=True)
@@ -234,8 +240,13 @@ def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
 # ---------------------------------------------------------------- evaluation
 
 def oracle_and_naive(B, Y_star, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Reference regressions: oracle pinv(B) @ Y_star and naive pinv(B) @ Y."""
-    return pinv_solve(B, Y_star), pinv_solve(B, Y)
+    """Reference regressions: oracle pinv(B) @ Y_star and naive pinv(B) @ Y.
+
+    ``B`` is the measurement matrix or its ``SvdFactors``; passing the factors
+    (such as ``ProblemInstance.b_svd``) reuses them instead of factoring again.
+    """
+    f = B if isinstance(B, SvdFactors) else svd(B)
+    return f.solve(Y_star), f.solve(Y)
 
 
 def evaluate(X_hat, X_oracle, B, Y_star,
@@ -278,8 +289,21 @@ def write_matrix_csv(path, M) -> None:
     np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=np.float64)), delimiter=",", fmt="%.17g")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Matrix CSV reader; tolerates one optional header line."""
+    """Matrix CSV reader; tolerates one optional header line.
+
+    Line 1 is a header only when none of its cells is a number. A line 1 that
+    mixes numbers and text is a corrupt data row and raises ``ParseError``, so
+    a damaged first row never silently drops out of the matrix.
+    """
     path = Path(path)
     rows: list[list[float]] = []
     with path.open(newline="") as fh:
@@ -291,7 +315,7 @@ def read_matrix_csv(path) -> np.ndarray:
                 try:
                     parsed.append(float(cell))
                 except ValueError:
-                    if lineno == 1:
+                    if lineno == 1 and not any(_is_number(c) for c in raw):
                         parsed = None  # header line, skip
                         break
                     raise ParseError(
@@ -318,13 +342,20 @@ def _model_to_dict(model: PermutationModel | None):
 
 
 def model_from_dict(payload) -> PermutationModel | None:
+    """Inverse of the ``model`` entry written to ``meta.json``; None stays None."""
     if payload is None:
         return None
-    if payload["variant"] == "rlocal":
-        return RLocal(BlockPartition(tuple(payload["sizes"])))
-    if payload["variant"] == "ksparse":
-        return KSparse(int(payload["k"]))
-    raise InvalidConfig(f"unknown model variant {payload['variant']!r}")
+    if not isinstance(payload, dict) or "variant" not in payload:
+        raise InvalidConfig(f"model must be an object with a 'variant' key, got {payload!r}")
+    variant = payload["variant"]
+    if variant not in ("rlocal", "ksparse"):
+        raise InvalidConfig(f"unknown model variant {variant!r}")
+    try:
+        value = (tuple(int(s) for s in payload["sizes"]) if variant == "rlocal"
+                 else int(payload["k"]))
+    except (KeyError, TypeError, ValueError):
+        raise InvalidConfig(f"malformed {variant} model {payload!r}") from None
+    return RLocal(BlockPartition(value)) if variant == "rlocal" else KSparse(value)
 
 
 def save_bundle(instance: ProblemInstance, out_dir,

@@ -57,6 +57,23 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 
+    def solve(self, Y) -> np.ndarray:
+        """Minimum-norm least-squares solve ``X = pinv(A) @ Y`` from these factors.
+
+        Applies ``V_r @ ((U_r.T @ Y) / S_r)`` over the singular values above
+        ``rank_tol``, so one factorization serves any number of right-hand
+        sides. A 1-D ``Y`` yields a 1-D ``X``.
+        """
+        y_arr = np.asarray(Y, dtype=np.float64)
+        squeeze = y_arr.ndim == 1
+        Y = as_matrix(y_arr, "Y")
+        if self.U.shape[0] != Y.shape[0]:
+            raise ShapeMismatch(f"A has {self.U.shape[0]} rows but Y has {Y.shape[0]}")
+        r = self.rank
+        X = (self.V[:, :r] @ ((self.U[:, :r].T @ Y) / self.S[:r, None]) if r
+             else np.zeros((self.V.shape[0], Y.shape[1])))
+        return X.ravel() if squeeze else X
+
 
 def svd(A, rank_tol: float | None = None) -> SvdFactors:
     """Thin SVD of a finite matrix.
@@ -78,18 +95,11 @@ def pinv_solve(A, Y, rank_tol: float | None = None) -> np.ndarray:
 
     For consistent underdetermined systems the result has minimum Frobenius
     norm among all solutions; for overdetermined systems it minimizes
-    ``||Y - A X||_F``. A 1-D ``Y`` yields a 1-D ``X``.
+    ``||Y - A X||_F``. A 1-D ``Y`` yields a 1-D ``X``. Factors ``A`` on every
+    call; to solve repeatedly against one ``A``, keep ``svd(A)`` and call its
+    ``solve``.
     """
-    A = as_matrix(A, "A")
-    y_arr = np.asarray(Y, dtype=np.float64)
-    squeeze = y_arr.ndim == 1
-    Y = as_matrix(y_arr, "Y")
-    if A.shape[0] != Y.shape[0]:
-        raise ShapeMismatch(f"A has {A.shape[0]} rows but Y has {Y.shape[0]}")
-    f = svd(A, rank_tol=rank_tol)
-    r = f.rank
-    X = f.V[:, :r] @ ((f.U[:, :r].T @ Y) / f.S[:r, None]) if r else np.zeros((A.shape[1], Y.shape[1]))
-    return X.ravel() if squeeze else X
+    return svd(A, rank_tol=rank_tol).solve(Y)
 
 
 def row_space_projector(A, rank_tol: float | None = None) -> np.ndarray:

@@ -6,7 +6,8 @@ set) with an exact least-squares signal update. Mode "rlocal" restricts the
 assignment to the blocks of a partition and starts from the collapsed-system
 solution; mode "ksparse" searches all permutations and starts from the
 identity. Both half-steps are exact minimizers, so the recorded objective
-trace is nonincreasing.
+trace is nonincreasing. ``B`` is factored once per instance
+(``ProblemInstance.b_svd``) and every signal update reuses that factor.
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
 
 
 def signal_update(B, Y, p: Permutation) -> np.ndarray:
-    """Exact least-squares update pinv(B) @ P^T Y, equal to pinv(P B) @ Y."""
+    """Exact least-squares update pinv(B) @ P^T Y, equal to pinv(P B) @ Y.
+
+    Factors ``B`` on every call; ``solve`` instead applies the instance's one
+    cached factor (``ProblemInstance.b_svd``) to ``P^T Y`` each iteration.
+    """
     return pinv_solve(B, apply(p.inverse(), Y))
 
 
@@ -130,7 +135,8 @@ def solve(instance: ProblemInstance, config: SolverConfig,
     falls below epsilon (or the objective hits the exact-fit floor), capped at
     max_iters.
 
-    ``x0``/``p0`` warm-start the loop in place of the model initialization.
+    ``x0``/``p0`` warm-start the loop in place of the model initialization;
+    ``x0`` must be d x m.
     One iteration is one permutation update followed by one signal update; the
     trace records the objective after each full iteration. Hitting the
     iteration cap is reported via ``converged=False``, not an error.
@@ -140,9 +146,12 @@ def solve(instance: ProblemInstance, config: SolverConfig,
 
     if x0 is not None:
         x_hat = as_matrix(x0, "x0")
+        if x_hat.shape != (B.shape[1], Y.shape[1]):
+            raise ShapeMismatch(
+                f"x0 must have shape {(B.shape[1], Y.shape[1])}, got {x_hat.shape}")
         y_fit = B @ x_hat
     elif p0 is not None:
-        x_hat = signal_update(B, Y, p0)
+        x_hat = instance.b_svd.solve(apply(p0.inverse(), Y))
         y_fit = B @ x_hat
     elif config.mode == "rlocal":
         x_hat = init_rlocal(build_collapsed(B, Y, partition))
@@ -151,13 +160,14 @@ def solve(instance: ProblemInstance, config: SolverConfig,
         _, y_fit = init_ksparse(Y)
         x_hat = None
 
+    b_svd = instance.b_svd  # the one factorization of B, shared with scoring
     zero_floor = ZERO_FLOOR_REL * float(np.sum(Y * Y))
     trace: list[float] = []
     converged = False
     p_hat = Permutation.identity(instance.n)
     for _ in range(config.max_iters):
         p_hat = _update_from_fit(Y, y_fit, partition)
-        x_hat = signal_update(B, Y, p_hat)
+        x_hat = b_svd.solve(apply(p_hat.inverse(), Y))
         y_fit = B @ x_hat
         diff = Y - y_fit[p_hat.map]
         trace.append(float(np.sum(diff * diff)))

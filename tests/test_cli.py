@@ -124,6 +124,39 @@ def test_bench_invalid_spec(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_config_grid_accepts_json_list(tmp_path):
+    argv = ["bench", "--sweep", "r", "--seeds", "2", "--n", 20, "--d", 3, "--m", 2,
+            "--sigma", 0.05, "--seed", 4]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"grid": [5, 2]}))
+    assert run(argv + ["--config", config, "--out", tmp_path / "list.csv"]) == 0
+    assert run(argv + ["--grid", "5,2", "--out", tmp_path / "text.csv"]) == 0
+    stable = ("sweep_value", "seed", "d_H_over_n", "rel_error", "iters")
+    _, from_list = read_csv_rows(tmp_path / "list.csv")
+    _, from_text = read_csv_rows(tmp_path / "text.csv")
+    assert [[r[c] for c in stable] for r in from_list] == [[r[c] for c in stable] for r in from_text]
+
+
+def test_bench_config_grid_of_wrong_type_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    for grid in ({"r": 2}, [2, "x"], [True], 7):
+        config.write_text(json.dumps({"sweep": "r", "grid": grid}))
+        assert run(["bench", "--config", config, "--n", 10, "--d", 2, "--m", 1,
+                    "--seeds", 1, "--out", tmp_path / "x.csv"]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_solve_meta_model_without_variant_is_usage_error(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert run(["synth", "--n", 12, "--d", 3, "--m", 2, "--model", "ksparse",
+                "--k", 4, "--seed", 1, "--out", bundle]) == 0
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["model"] = {"k": 4}
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    assert run(["solve", bundle]) == 2
+    assert "variant" in capsys.readouterr().err
+
+
 def test_ingest_then_solve(tmp_path, capsys):
     csv = tmp_path / "data.csv"
     rows = ["key,f1,f2,t1"]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from unlabeled_sensing.data import (BlockRule, SynthConfig, evaluate, generate,
-                                    ingest_csv, load_bundle, oracle_and_naive,
-                                    read_matrix_csv, save_bundle,
-                                    write_matrix_csv)
+                                    ingest_csv, load_bundle, model_from_dict,
+                                    oracle_and_naive, read_matrix_csv,
+                                    save_bundle, write_matrix_csv)
 from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonNumeric,
                                       ParseError)
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, RLocal,
@@ -220,6 +220,29 @@ def test_matrix_csv_roundtrip_and_header_tolerance(tmp_path):
     with pytest.raises(ParseError) as err:
         read_matrix_csv(bad)
     assert err.value.line == 2
+
+
+def test_matrix_csv_corrupt_first_row_is_not_a_header(tmp_path):
+    # A line 1 mixing numbers and text used to be skipped as a header, which
+    # silently dropped a row of the matrix.
+    path = tmp_path / "m.csv"
+    for text in ("1.0,abc\n2,3\n4,5\n", "a,1\n2,3\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_matrix_csv(path)
+        assert err.value.line == 1
+    path.write_text("x, y\n2,3\n")
+    np.testing.assert_array_equal(read_matrix_csv(path), [[2.0, 3.0]])
+
+
+def test_model_from_dict_rejects_malformed_models():
+    assert model_from_dict(None) is None
+    assert model_from_dict({"variant": "ksparse", "k": 4}).k == 4
+    assert model_from_dict({"variant": "rlocal", "sizes": [2, 3]}).partition.sizes == (2, 3)
+    for bad in ({"sizes": [2, 3]}, {"variant": "blocky"}, {"variant": "ksparse"},
+                {"variant": "rlocal", "sizes": 5}, {"variant": "ksparse", "k": "x"}, "rlocal"):
+        with pytest.raises(InvalidConfig):
+            model_from_dict(bad)
 
 
 def test_bundle_roundtrip(tmp_path):

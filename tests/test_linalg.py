@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import reference_pinv_solve
 from unlabeled_sensing.errors import NonFinite, ShapeMismatch
 from unlabeled_sensing.linalg import (extreme_singular_values, pinv_solve,
                                       row_space_projector, svd)
@@ -136,3 +137,41 @@ def test_extreme_singular_values_match_full_svd():
     S = np.linalg.svd(A, compute_uv=False)
     assert abs(smin - S[-1]) <= 1e-10
     assert abs(smax - S[0]) <= 1e-10
+
+
+def _factor_cases():
+    rng = np.random.default_rng(8)
+    tall = rng.standard_normal((40, 6))
+    deficient = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6))  # rank 3
+    wide = rng.standard_normal((4, 9))
+    return {"tall": tall, "rank_deficient": deficient, "wide": wide,
+            "zero": np.zeros((5, 3))}
+
+
+@pytest.mark.parametrize("name", ["tall", "rank_deficient", "wide", "zero"])
+def test_svd_factors_solve_equals_pinv_solve_bitwise(name):
+    # One factor reused across right-hand sides gives exactly the bits of a
+    # fresh factorization per solve, and of the plain formula on numpy's SVD.
+    A = _factor_cases()[name]
+    f = svd(A)
+    if name == "rank_deficient":
+        assert f.rank == 3
+    if name == "zero":
+        assert f.rank == 0
+    rng = np.random.default_rng(9)
+    for cols in (1, 4):
+        Y = rng.standard_normal((A.shape[0], cols))
+        got = f.solve(Y)
+        assert got.tobytes() == pinv_solve(A, Y).tobytes()
+        assert got.tobytes() == reference_pinv_solve(A, Y).tobytes()
+    y = rng.standard_normal(A.shape[0])
+    assert f.solve(y).shape == (A.shape[1],)
+    assert f.solve(y).tobytes() == pinv_solve(A, y).tobytes()
+
+
+def test_svd_factors_solve_checks_right_hand_side():
+    f = svd(np.eye(3))
+    with pytest.raises(ShapeMismatch):
+        f.solve(np.ones((4, 1)))
+    with pytest.raises(NonFinite):
+        f.solve(np.array([1.0, np.nan, 0.0]))

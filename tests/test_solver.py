@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_force_lap, brute_force_min_objective
+from _oracles import brute_force_lap, brute_force_min_objective, reference_solve
+from unlabeled_sensing import data, linalg
+from unlabeled_sensing.cli import _result_metrics
 from unlabeled_sensing.data import SynthConfig, generate
 from unlabeled_sensing.errors import InvalidConfig, ShapeMismatch, TooFewIterations
 from unlabeled_sensing.linalg import pinv_solve
@@ -226,3 +228,66 @@ def test_solve_rlocal_uses_instance_partition_by_default():
     inst = generate(SynthConfig(n=12, d=3, m=1, model=RLocal(part), seed=8))
     result = solve(inst, SolverConfig(mode="rlocal"))
     assert result.converged
+
+
+def test_solve_rejects_x0_of_wrong_shape():
+    part = BlockPartition.equal_blocks(12, 4)
+    inst = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), seed=5))
+    config = SolverConfig(mode="rlocal", partition=part)
+    for bad in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)).T):
+        with pytest.raises(ShapeMismatch):
+            solve(inst, config, x0=bad)
+    assert solve(inst, config, x0=np.zeros((3, 2))).iters >= 1
+
+
+# ------------------------------------------------------------- reference loop
+
+EQUIVALENCE_CASES = {
+    "rlocal_equal": dict(n=60, d=4, m=3, model=RLocal(BlockPartition.equal_blocks(60, 6)),
+                         sigma=0.3, seed=21),
+    "rlocal_ragged": dict(n=48, d=4, m=2,
+                          model=RLocal(BlockPartition((1, 2, 7, 3, 12, 1, 5, 2, 9, 6))),
+                          sigma=0.3, seed=22),
+    "ksparse": dict(n=40, d=4, m=2, model=KSparse(24), sigma=0.3, seed=23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_solve_matches_reference_loop_bitwise(name):
+    # The factor-once loop with the blockwise kernel must reproduce, bit for
+    # bit, the loop that refactors B and calls solve_lap per block each time.
+    inst = generate(SynthConfig(**EQUIVALENCE_CASES[name]))
+    mode = "rlocal" if inst.partition is not None else "ksparse"
+    for epsilon in (1e-2, 1e-9):
+        config = SolverConfig(mode=mode, epsilon=epsilon, max_iters=30,
+                              partition=inst.partition)
+        result = solve(inst, config)
+        p_map, x_ref, trace_ref = reference_solve(inst.B, inst.Y, inst.partition,
+                                                  epsilon=epsilon, max_iters=30)
+        assert np.array_equal(result.p_hat.map, p_map)
+        assert result.x_hat.tobytes() == x_ref.tobytes()
+        assert result.objective_trace.tobytes() == trace_ref.tobytes()
+    assert result.iters >= 2
+
+
+def test_solve_and_scoring_share_one_factor_of_b(monkeypatch):
+    part = BlockPartition.equal_blocks(30, 5)
+    inst = generate(SynthConfig(n=30, d=4, m=2, model=RLocal(part), sigma=0.2, seed=6))
+    expected = data.oracle_and_naive(inst.B, inst.y_star, inst.Y)
+    factored = []
+    real_svd = linalg.svd
+
+    def counting_svd(A, rank_tol=None):
+        factored.append(np.shape(A))
+        return real_svd(A, rank_tol)
+
+    monkeypatch.setattr(linalg, "svd", counting_svd)
+    monkeypatch.setattr(data, "svd", counting_svd)
+    result = solve(inst, SolverConfig(mode="rlocal", partition=part, epsilon=1e-9))
+    assert result.iters >= 2
+    metrics = _result_metrics(inst, result)
+    assert factored.count(inst.B.shape) == 1
+    assert inst.b_svd is inst.b_svd
+    got = data.oracle_and_naive(inst.b_svd, inst.y_star, inst.Y)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    assert metrics["relative_error"] >= 0

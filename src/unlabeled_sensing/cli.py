@@ -59,14 +59,25 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _opt(args, config: dict, name: str, default):
-    """Flag > config file > default."""
+def _opt(args, config: dict, name: str, default, kind=None):
+    """Flag > config file > default, converted by ``kind`` unless None.
+
+    A value ``kind`` cannot convert (``{"n": "abc"}`` in a config file) is
+    ``InvalidConfig``.
+    """
     value = getattr(args, name, None)
-    if value is not None:
+    if value is None:
+        value = config.get(name, default)
+    if kind is None or value is None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"invalid value for {name}: {value!r}") from None
+
+
+def _int_list(text) -> tuple[int, ...]:
+    return tuple(int(s) for s in str(text).split(","))
 
 
 def _parse_grid(grid) -> list[float]:
@@ -80,22 +91,26 @@ def _parse_grid(grid) -> list[float]:
     if any(isinstance(v, bool) for v in values):
         raise InvalidSpec(f"cannot parse grid {grid!r} as numbers")
     try:
-        return [float(v) for v in values]
+        parsed = [float(v) for v in values]
     except (TypeError, ValueError):
         raise InvalidSpec(f"cannot parse grid {grid!r} as numbers") from None
+    if not parsed:
+        raise InvalidSpec(f"grid {grid!r} holds no values")
+    return parsed
 
 
-def _build_model(n: int, model_name: str, r, sizes, k):
+def _build_model(n: int, model_name: str, r: int | None, sizes: tuple[int, ...] | None,
+                 k: int | None):
     if model_name == "rlocal":
         if sizes:
-            return RLocal(BlockPartition(tuple(int(s) for s in sizes.split(",")))), "rlocal"
+            return RLocal(BlockPartition(sizes)), "rlocal"
         if r is None:
             raise InvalidConfig("rlocal model needs --r or --sizes")
-        return RLocal(BlockPartition.equal_blocks(n, int(r))), "rlocal"
+        return RLocal(BlockPartition.equal_blocks(n, r)), "rlocal"
     if model_name == "ksparse":
         if k is None:
             raise InvalidConfig("ksparse model needs --k")
-        return KSparse(int(k)), "ksparse"
+        return KSparse(k), "ksparse"
     raise InvalidConfig(f"unknown model {model_name!r}")
 
 
@@ -103,19 +118,19 @@ def _build_model(n: int, model_name: str, r, sizes, k):
 
 def cmd_synth(args) -> int:
     config = _load_config(args.config)
-    n = int(_opt(args, config, "n", 100))
+    n = _opt(args, config, "n", 100, int)
     model, _ = _build_model(n, _opt(args, config, "model", "rlocal"),
-                            _opt(args, config, "r", None),
-                            _opt(args, config, "sizes", None),
-                            _opt(args, config, "k", None))
+                            _opt(args, config, "r", None, int),
+                            _opt(args, config, "sizes", None, _int_list),
+                            _opt(args, config, "k", None, int))
     synth = SynthConfig(
         n=n,
-        d=int(_opt(args, config, "d", 10)),
-        m=int(_opt(args, config, "m", 1)),
+        d=_opt(args, config, "d", 10, int),
+        m=_opt(args, config, "m", 1, int),
         model=model,
-        sigma=float(_opt(args, config, "sigma", 0.0)),
+        sigma=_opt(args, config, "sigma", 0.0, float),
         b_dist=_opt(args, config, "b_dist", "gaussian"),
-        seed=int(_opt(args, config, "seed", 0)),
+        seed=_opt(args, config, "seed", 0, int),
     )
     out = _opt(args, config, "out", None)
     if out is None:
@@ -139,8 +154,8 @@ def cmd_ingest(args) -> int:
     block_cols = _parse_cols(_opt(args, config, "block_cols", ""))
     if not targets or not features:
         raise InvalidConfig("ingest requires --targets and --features column lists")
-    rule = BlockRule(block_cols, decimals=int(_opt(args, config, "decimals", 0)))
-    seed = int(_opt(args, config, "seed", 0))
+    rule = BlockRule(block_cols, decimals=_opt(args, config, "decimals", 0, int))
+    seed = _opt(args, config, "seed", 0, int)
     out = _opt(args, config, "out", None)
     if out is None:
         raise InvalidConfig("ingest requires --out DIRECTORY")
@@ -188,8 +203,8 @@ def cmd_solve(args) -> int:
             model is None and instance.partition is not None) else "ksparse"
     solver_config = SolverConfig(
         mode=mode,
-        epsilon=float(_opt(args, config, "epsilon", 0.01)),
-        max_iters=int(_opt(args, config, "max_iters", 100)),
+        epsilon=_opt(args, config, "epsilon", 0.01, float),
+        max_iters=_opt(args, config, "max_iters", 100, int),
         partition=instance.partition if mode == "rlocal" else None,
     )
     result = solve(instance, solver_config)
@@ -229,10 +244,10 @@ class RunRecord:
 def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
                 seed_idx: int) -> RunRecord:
     child_seed = int(np.random.SeedSequence(
-        (int(spec["seed"]), point_idx, seed_idx)).generate_state(1)[0])
-    n, d, m = int(spec["n"]), int(spec["d"]), int(spec["m"])
+        (spec["seed"], point_idx, seed_idx)).generate_state(1)[0])
+    n, d, m = spec["n"], spec["d"], spec["m"]
     sweep = spec["sweep"]
-    sigma = float(spec["sigma"])
+    sigma = spec["sigma"]
     if sweep == "r":
         model: RLocal | KSparse = RLocal(BlockPartition.equal_blocks(n, int(value)))
         mode = "rlocal"
@@ -247,8 +262,8 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
     instance = generate(synth)
     solver_config = SolverConfig(
         mode=mode,
-        epsilon=float(spec["epsilon"]),
-        max_iters=int(spec["max_iters"]),
+        epsilon=spec["epsilon"],
+        max_iters=spec["max_iters"],
         partition=instance.partition if mode == "rlocal" else None,
     )
     start = time.perf_counter()
@@ -277,27 +292,27 @@ def cmd_bench(args) -> int:
     if not grid_value:
         raise InvalidSpec("bench requires --grid v1,v2,...")
     grid = sorted(set(_parse_grid(grid_value)))
-    seeds = int(_opt(args, config, "seeds", 15))
+    seeds = _opt(args, config, "seeds", 15, int)
     if seeds < 1:
         raise InvalidSpec(f"seeds must be >= 1, got {seeds}")
     spec = {
         "sweep": sweep,
         "grid": grid,
         "seeds": seeds,
-        "n": int(_opt(args, config, "n", 100)),
-        "d": int(_opt(args, config, "d", 10)),
-        "m": int(_opt(args, config, "m", 10)),
+        "n": _opt(args, config, "n", 100, int),
+        "d": _opt(args, config, "d", 10, int),
+        "m": _opt(args, config, "m", 10, int),
         "model": _opt(args, config, "model", "rlocal"),
-        "r": _opt(args, config, "r", None),
-        "k": _opt(args, config, "k", None),
-        "sigma": float(_opt(args, config, "sigma", 0.0)),
+        "r": _opt(args, config, "r", None, int),
+        "k": _opt(args, config, "k", None, int),
+        "sigma": _opt(args, config, "sigma", 0.0, float),
         "b_dist": _opt(args, config, "b_dist", "gaussian"),
-        "epsilon": float(_opt(args, config, "epsilon", 0.01)),
-        "max_iters": int(_opt(args, config, "max_iters", 100)),
-        "seed": int(_opt(args, config, "seed", 0)),
+        "epsilon": _opt(args, config, "epsilon", 0.01, float),
+        "max_iters": _opt(args, config, "max_iters", 100, int),
+        "seed": _opt(args, config, "seed", 0, int),
     }
     config_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
-    threads = int(_opt(args, config, "threads", 1))
+    threads = _opt(args, config, "threads", 1, int)
 
     tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(seeds)]
     if threads > 1:
@@ -366,13 +381,13 @@ def _suite_from_args(args, config: dict) -> list[tuple[str, dict]]:
 def cmd_validate_theory(args) -> int:
     config = _load_config(args.config)
     suite = _suite_from_args(args, config)
-    seed = int(_opt(args, config, "seed", 0))
-    trials_override = _opt(args, config, "trials", None)
+    seed = _opt(args, config, "seed", 0, int)
+    trials_override = _opt(args, config, "trials", None, int)
 
     reports = []
     for idx, (name, params) in enumerate(suite):
         if trials_override is not None:
-            params["trials"] = int(trials_override)
+            params["trials"] = trials_override
         if int(params.get("trials", 0)) < 1:
             raise InvalidSpec(f"check {name}: trials must be >= 1")
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))

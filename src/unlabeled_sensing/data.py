@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -297,14 +298,56 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+# Whitespace to numpy's number parser but not to float(); a file holding any of
+# these goes to the exact reader.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Matrix CSV reader; tolerates one optional header line.
 
     Line 1 is a header only when none of its cells is a number. A line 1 that
     mixes numbers and text is a corrupt data row and raises ``ParseError``, so
     a damaged first row never silently drops out of the matrix.
+
+    The matrix is parsed by numpy's C reader. Where that reader fails, warns or
+    finds no rows, the exact per-cell reader (``csv.reader`` plus ``float()``)
+    decides instead: it accepts what ``float()`` accepts (quoted cells, ``1_0``,
+    Unicode digits, whitespace-only rows) and otherwise locates the error.
     """
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns, not raises, on a file with no rows
+            matrix = _loadtxt_matrix(path)
+    except (ValueError, Warning, csv.Error):
+        matrix = None
+    if matrix is None or matrix.shape[0] == 0:
+        return _read_matrix_csv_exact(path)
+    return matrix
+
+
+def _loadtxt_matrix(path: Path) -> np.ndarray | None:
+    """numpy's parse of the file, or None when a cell could parse otherwise with float().
+
+    numpy reads the open file rather than the path, so it never decompresses a
+    file by its suffix the way ``numpy.loadtxt(path)`` would.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, [])
+        # A blank line 1 counts as a header here: both readers skip it anyway.
+        header = reader.line_num == 1 and not any(_is_number(c) for c in first)
+        fh.seek(0)
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if any(c in chunk for c in _NUMPY_ONLY_SPACE):
+                return None
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                          skiprows=int(header), dtype=np.float64)
+
+
+def _read_matrix_csv_exact(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     with path.open(newline="") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
@@ -378,27 +421,41 @@ def save_bundle(instance: ProblemInstance, out_dir,
 
 
 def load_bundle(bundle_dir) -> ProblemInstance:
+    """Read a bundle; every file must agree with the row count n of ``B.csv``."""
     bundle = Path(bundle_dir)
     B = read_matrix_csv(bundle / "B.csv")
     Y = read_matrix_csv(bundle / "Y.csv")
+    n = B.shape[0]
     y_star = None
     if (bundle / "Ystar.csv").exists():
         y_star = read_matrix_csv(bundle / "Ystar.csv")
+        _check_rows("Ystar.csv", y_star.shape[0], n)
     sigma = 0.0
     partition = None
     p_star = None
     meta_path = bundle / "meta.json"
     if meta_path.exists():
-        sigma = float(json.loads(meta_path.read_text()).get("sigma", 0.0) or 0.0)
+        raw_sigma = json.loads(meta_path.read_text()).get("sigma", 0.0)
+        try:
+            sigma = float(raw_sigma or 0.0)
+        except (TypeError, ValueError):
+            raise InvalidConfig(f"meta.json sigma must be a number, got {raw_sigma!r}") from None
     truth_path = bundle / "truth.json"
     if truth_path.exists():
         truth = json.loads(truth_path.read_text())
         if truth.get("partition") is not None:
             partition = BlockPartition(tuple(truth["partition"]))
+            _check_rows("truth.json partition", partition.n, n)
         if truth.get("permutation") is not None:
             p_star = Permutation.from_list(truth["permutation"])
+            _check_rows("truth.json permutation", p_star.n, n)
     return ProblemInstance(B=B, Y=Y, sigma=sigma, partition=partition,
                            p_star=p_star, y_star=y_star)
+
+
+def _check_rows(what: str, rows: int, n: int) -> None:
+    if rows != n:
+        raise ShapeMismatch(f"{what} covers {rows} rows but B.csv has {n}")
 
 
 def load_bundle_meta(bundle_dir) -> dict:

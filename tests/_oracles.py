@@ -11,14 +11,22 @@ forms of the fast paths: the pseudoinverse formula applied to a fresh
 ``pinv_solve`` and calls ``solve_lap`` once per block on every iteration. The
 fast paths perform the same floating-point operations, so tests compare them
 bit for bit.
+
+``reference_read_matrix_csv`` is the matrix CSV reader as it was before
+numpy's C reader took over the common case: every cell through ``csv.reader``
+and ``float()``. The fast reader must return the same array bytes or raise
+the same error.
 """
 
+import csv
 import itertools
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from unlabeled_sensing.assignment import solve_lap
+from unlabeled_sensing.errors import ParseError
 from unlabeled_sensing.linalg import pinv_solve
 
 
@@ -99,3 +107,47 @@ def reference_solve(B, Y, partition=None, epsilon=0.01, max_iters=100):
             if change == 0.0 or (denom > 0 and change / denom <= epsilon):
                 break
     return p_map, x, np.asarray(trace)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_read_matrix_csv(path) -> np.ndarray:
+    """Matrix CSV reader; tolerates one optional header line.
+
+    Line 1 is a header only when none of its cells is a number. A line 1 that
+    mixes numbers and text is a corrupt data row and raises ``ParseError``, so
+    a damaged first row never silently drops out of the matrix.
+    """
+    path = Path(path)
+    rows: list[list[float]] = []
+    with path.open(newline="") as fh:
+        for lineno, raw in enumerate(csv.reader(fh), start=1):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            parsed = []
+            for col, cell in enumerate(raw):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    if lineno == 1 and not any(_is_number(c) for c in raw):
+                        parsed = None  # header line, skip
+                        break
+                    raise ParseError(
+                        f"cannot parse {cell!r} as a number",
+                        path=str(path), line=lineno, column=col + 1) from None
+            if parsed is None:
+                continue
+            if rows and len(parsed) != len(rows[0]):
+                raise ParseError(
+                    f"expected {len(rows[0])} fields, got {len(parsed)}",
+                    path=str(path), line=lineno)
+            rows.append(parsed)
+    if not rows:
+        raise ParseError("no numeric rows", path=str(path))
+    return np.asarray(rows, dtype=np.float64)

@@ -255,3 +255,76 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert run(["synth", "--config", config, "--n", 8, "--out", bundle]) == 0
     B = [line for line in (bundle / "B.csv").read_text().strip().splitlines()]
     assert len(B) == 8
+
+
+# ------------------------------------------------------------- malformed input
+
+def _small_bundle(tmp_path):
+    bundle = tmp_path / "bundle"
+    assert run(["synth", "--n", 12, "--d", 3, "--m", 2, "--model", "rlocal",
+                "--r", 4, "--sigma", 0.1, "--seed", 2, "--out", bundle]) == 0
+    return bundle
+
+
+def _edit_json(path, **changes):
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
+
+
+def test_solve_truncated_permutation_is_caught_at_load(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "truth.json", permutation=list(range(11)))
+    assert run(["solve", bundle]) == 2
+    assert "permutation covers 11 rows" in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
+
+
+def test_solve_partition_not_covering_n_is_usage_error(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "truth.json", partition=[4, 4])
+    assert run(["solve", bundle]) == 2
+    assert "partition covers 8 rows" in capsys.readouterr().err
+
+
+def test_solve_ystar_row_count_mismatch_is_usage_error(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    lines = (bundle / "Ystar.csv").read_text().splitlines()
+    (bundle / "Ystar.csv").write_text("\n".join(lines[:-1]) + "\n")
+    assert run(["solve", bundle]) == 2
+    assert "Ystar.csv covers 11 rows" in capsys.readouterr().err
+
+
+def test_solve_non_numeric_sigma_is_usage_error(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "meta.json", sigma="abc")
+    assert run(["solve", bundle]) == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_non_numeric_config_scalars_are_usage_errors(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    config = tmp_path / "conf.json"
+    cases = [
+        ({"n": "abc"}, ["bench", "--sweep", "r", "--grid", 2, "--seeds", 1,
+                        "--out", tmp_path / "x.csv"]),
+        ({"sigma": "abc"}, ["bench", "--sweep", "r", "--grid", 2, "--seeds", 1, "--n", 10,
+                            "--out", tmp_path / "x.csv"]),
+        ({"d": "abc"}, ["synth", "--n", 8, "--r", 4, "--out", tmp_path / "s"]),
+        ({"sizes": "4,x"}, ["synth", "--n", 8, "--out", tmp_path / "s"]),
+        ({"epsilon": "abc"}, ["solve", bundle]),
+        ({"max_iters": [3]}, ["solve", bundle]),
+    ]
+    for payload, argv in cases:
+        config.write_text(json.dumps(payload))
+        assert run(argv + ["--config", config]) == 2, payload
+        name = next(iter(payload))
+        assert f"invalid value for {name}" in capsys.readouterr().err
+
+
+def test_bench_grid_with_no_values_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["bench", "--sweep", "r", "--grid", " , ", "--seeds", 1, "--n", 10,
+                "--d", 2, "--m", 1, "--out", out]) == 2
+    assert "no values" in capsys.readouterr().err
+    assert not out.exists()

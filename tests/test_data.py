@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_read_matrix_csv
 from unlabeled_sensing.data import (BlockRule, SynthConfig, evaluate, generate,
                                     ingest_csv, load_bundle, model_from_dict,
                                     oracle_and_naive, read_matrix_csv,
@@ -256,3 +259,95 @@ def test_bundle_roundtrip(tmp_path):
     assert loaded.partition.sizes == part.sizes
     assert hamming_distortion(loaded.p_star, inst.p_star) == 0
     assert loaded.sigma == 0.1
+
+
+def test_bundle_roundtrip_is_bit_exact(tmp_path):
+    part = BlockPartition.equal_blocks(40, 4)
+    inst = generate(SynthConfig(n=40, d=5, m=3, model=RLocal(part), sigma=0.3, seed=11))
+    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle", seed=11, model=RLocal(part)))
+    for got, want in ((loaded.B, inst.B), (loaded.Y, inst.Y), (loaded.y_star, inst.y_star)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- matrix CSV reader vs the reference
+
+def _outcome(reader, path):
+    """The array bytes a reader returns, or the error it raises with its position."""
+    try:
+        M = reader(path)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("array", M.dtype, M.shape, M.tobytes())
+
+
+def _assert_same_as_reference(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_matrix_csv, path) == _outcome(reference_read_matrix_csv, path), repr(text)
+
+
+def test_read_matrix_csv_2000x50_is_bit_identical_to_reference(tmp_path):
+    rng = np.random.default_rng(2024)
+    M = rng.standard_normal((2000, 50)) * 10.0 ** rng.integers(-300, 300, size=(2000, 50))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    got = read_matrix_csv(path)
+    assert got.tobytes() == M.tobytes()
+    assert got.tobytes() == reference_read_matrix_csv(path).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n", "x, y\n2,3\n", "a,1\n2,3\n", "\na,b\n1,2\n", " , \n1,2\n",
+    "1,2\n\n3,4\n", "1,2\n  \n3,4\n", "1,2\n\t\n", "\"1\",2\n3,4\n", "\"a\n1,2\n",
+    "\"1\n\",2\n3,4\n", "1_0,2\n", "\u0661,2\n", "nan,-nan\ninf,-Infinity\n",
+    "1e999,-1e-999\n", "1,2\r\n3,4\r\n", "1,2\r3,4\r", "1,2\r\r\n3,4\n", "\ufeff1,2\n",
+    "\ufeff1\n2\n", "#1,2\n", "1,,2\n", "1,2,\n", "1,2\n3\n", "", "\n\n", "a,b\n",
+    "a,b\n\n", "\x1c1,2\n", "1,2\x1f\n", "a\x1e,b\n1,2\n", "\xa01,2\u2003\n", "1 2,3\n",
+    "0x10,1\n", "1\x00,2\n", "1,2\n3,4",
+])
+def test_read_matrix_csv_edge_cases_match_reference(tmp_path, text):
+    _assert_same_as_reference(tmp_path / "m.csv", text)
+
+
+_NUMBER_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda x: "%.17g" % x),
+    st.integers(-10**20, 10**20).map(str),
+)
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["nan", "-nan", "+inf", "-Infinity", "1e999", "-1e-999", "1_0", "1__0",
+                     "\u0661", "\u0662.5", '"1.5"', '"2"', " 3 ", "\t4", "\xa05", "\x1c6",
+                     "7\x1f", "", " ", "abc", "x", "#8", "0x9", "1e", ".", "+.5", "5.",
+                     '"a,b"', '"1\n2"', "1 2"]),
+    st.text(alphabet="0123456789.eE+-_ \t\"#anif\x1c\xa0\u0663", max_size=5),
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    ncols = draw(st.integers(1, 4))
+    odd = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    def cell():
+        return draw(_ODD_CELLS if draw(st.floats(0, 1)) < odd else _NUMBER_CELLS)
+    lines = []
+    if draw(st.booleans()):
+        names = st.sampled_from(["a", "b", " x", "col 1", '"h"', "nan_", ""])
+        lines.append(",".join(draw(st.lists(names, min_size=ncols, max_size=ncols))))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " , ", "  ,\t"])))
+        else:
+            width = ncols + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(",".join(cell() for _ in range(max(width, 1))))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_matrix_texts())
+def test_read_matrix_csv_matches_reference_reader(tmp_path_factory, text):
+    _assert_same_as_reference(tmp_path_factory.getbasetemp() / "fuzz.csv", text)

@@ -22,9 +22,8 @@ from .permutation import (BlockPartition, KSparse, Permutation,
                           offdiagonal_count, sample_ksparse, sample_rlocal)
 from .solver import (SolveResult, SolverConfig, objective, permutation_update,
                      relative_change, signal_update, solve)
-from .theory import (BoundParams, BoundReport, check_lemma1, check_lemma2,
-                     check_lemma4, check_theorem1, check_theorem2,
-                     check_theorem3, chi2_tail_check, jl_threshold, tilde_e,
-                     worst_case_init_bound)
+from .theory import (BoundReport, check_lemma1, check_lemma2, check_lemma4,
+                     check_theorem1, check_theorem2, check_theorem3,
+                     chi2_tail_check, jl_threshold, worst_case_init_bound)
 
 __version__ = "0.1.0"

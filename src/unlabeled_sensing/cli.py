@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -352,29 +353,75 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- validate-theory
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# What a suite spec may give for a check parameter, by the parameter's
+# annotation. The int parameters of the checks all count rows, columns, blocks
+# or trials. Parameters that take arrays or partitions keep their default null.
+_SPEC_VALUE_KINDS = {
+    int: _is_count,
+    float: _is_real,
+    float | None: lambda v: v is None or _is_real(v),
+    list[float] | None: lambda v: v is None or (isinstance(v, list) and all(map(_is_real, v))),
+}
+
+
+def _check_name(name) -> str:
+    if not isinstance(name, str) or name not in CHECK_FUNCS:
+        raise InvalidSpec(f"unknown check {name!r}")
+    return name
+
+
+def _check_params(name: str, params: dict) -> None:
+    """Bind spec params to the check's signature; trials must be >= 1."""
+    signature = inspect.signature(CHECK_FUNCS[name], eval_str=True).parameters
+    for key, value in params.items():
+        if key not in signature or key == "rng":
+            raise InvalidSpec(f"check {name}: unknown parameter {key!r}")
+        if not _SPEC_VALUE_KINDS.get(signature[key].annotation, lambda v: v is None)(value):
+            raise InvalidSpec(f"check {name}: invalid value for {key}: {value!r}")
+    if params["trials"] < 1:
+        raise InvalidSpec(f"check {name}: trials must be >= 1")
+
+
 def _suite_from_args(args, config: dict) -> list[tuple[str, dict]]:
-    spec_path = _opt(args, config, "spec", None)
+    """The checks to run with their params, every name and value validated.
+
+    A ``--spec`` file overrides default params by name; ``--trials`` overrides
+    every check's trial count.
+    """
+    spec_path = _opt(args, config, "spec", None, str)
     if spec_path:
         payload = json.loads(Path(spec_path).read_text())
-        entries = payload.get("checks")
+        entries = payload.get("checks") if isinstance(payload, dict) else None
         if not isinstance(entries, list) or not entries:
             raise InvalidSpec(f"suite spec {spec_path} must hold a non-empty 'checks' list")
         suite = []
         for entry in entries:
-            name = entry.get("check")
-            if name not in CHECK_FUNCS:
-                raise InvalidSpec(f"unknown check {name!r}")
-            params = dict(DEFAULT_SUITE[name])
-            params.update(entry.get("params", {}))
-            suite.append((name, params))
-        return suite
-    names_text = _opt(args, config, "checks", None)
-    names = [n.strip() for n in names_text.split(",")] if names_text else list(DEFAULT_SUITE)
-    suite = []
-    for name in names:
-        if name not in CHECK_FUNCS:
-            raise InvalidSpec(f"unknown check {name!r}")
-        suite.append((name, dict(DEFAULT_SUITE[name])))
+            if not isinstance(entry, dict):
+                raise InvalidSpec(f"suite entry {entry!r} must be an object")
+            name = _check_name(entry.get("check"))
+            params = entry.get("params", {})
+            if not isinstance(params, dict):
+                raise InvalidSpec(f"check {name}: params must be an object, got {params!r}")
+            suite.append((name, {**DEFAULT_SUITE[name], **params}))
+    else:
+        names_text = _opt(args, config, "checks", None)
+        if names_text is not None and not isinstance(names_text, str):
+            raise InvalidSpec(f"checks must be comma-separated names, got {names_text!r}")
+        names = [n.strip() for n in names_text.split(",")] if names_text else list(DEFAULT_SUITE)
+        suite = [(_check_name(name), dict(DEFAULT_SUITE[name])) for name in names]
+    trials = _opt(args, config, "trials", None, int)
+    for name, params in suite:
+        if trials is not None:
+            params["trials"] = trials
+        _check_params(name, params)
     return suite
 
 
@@ -382,14 +429,9 @@ def cmd_validate_theory(args) -> int:
     config = _load_config(args.config)
     suite = _suite_from_args(args, config)
     seed = _opt(args, config, "seed", 0, int)
-    trials_override = _opt(args, config, "trials", None, int)
 
     reports = []
     for idx, (name, params) in enumerate(suite):
-        if trials_override is not None:
-            params["trials"] = trials_override
-        if int(params.get("trials", 0)) < 1:
-            raise InvalidSpec(f"check {name}: trials must be >= 1")
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
         report = CHECK_FUNCS[name](rng=rng, **params)
         reports.append(report)

@@ -435,14 +435,14 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     p_star = None
     meta_path = bundle / "meta.json"
     if meta_path.exists():
-        raw_sigma = json.loads(meta_path.read_text()).get("sigma", 0.0)
+        raw_sigma = _read_json_object(meta_path).get("sigma", 0.0)
         try:
             sigma = float(raw_sigma or 0.0)
         except (TypeError, ValueError):
             raise InvalidConfig(f"meta.json sigma must be a number, got {raw_sigma!r}") from None
     truth_path = bundle / "truth.json"
     if truth_path.exists():
-        truth = json.loads(truth_path.read_text())
+        truth = _read_json_object(truth_path)
         if truth.get("partition") is not None:
             partition = BlockPartition(tuple(truth["partition"]))
             _check_rows("truth.json partition", partition.n, n)
@@ -458,8 +458,15 @@ def _check_rows(what: str, rows: int, n: int) -> None:
         raise ShapeMismatch(f"{what} covers {rows} rows but B.csv has {n}")
 
 
+def _read_json_object(path: Path) -> dict:
+    payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise InvalidConfig(f"{path.name} must hold a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def load_bundle_meta(bundle_dir) -> dict:
     meta_path = Path(bundle_dir) / "meta.json"
     if not meta_path.exists():
         return {"sigma": 0.0, "seed": None, "model": None}
-    return json.loads(meta_path.read_text())
+    return _read_json_object(meta_path)

@@ -14,6 +14,7 @@ reported frequencies are deterministic in the generator state.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -56,35 +57,6 @@ def _require_underdetermined(d: int, s: int) -> None:
 
 
 @dataclass(frozen=True)
-class BoundParams:
-    """Dimension/parameter bag with the derived bound constants."""
-
-    n: int = 0
-    d: int = 0
-    s: int = 0
-    m: int = 1
-    k: int = 0
-    t: float = 0.0
-    K: float = 1.0
-
-    @property
-    def c1(self) -> float:
-        return const_c1(self.d, self.s, self.K)
-
-    @property
-    def K1(self) -> float:
-        return const_k1(self.d, self.s, self.K)
-
-    @property
-    def c2(self) -> float:
-        return const_c2(self.d, self.s, self.K)
-
-    @property
-    def c3(self) -> float:
-        return const_c3(self.n, self.k)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Outcome of one Monte-Carlo bound check.
 
@@ -102,16 +74,7 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "threshold": self.threshold,
-            "bound": self.bound,
-            "empirical": self.empirical,
-            "trials": self.trials,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return dataclasses.asdict(self)
 
 
 def binomial_margin(p: float, trials: int) -> float:
@@ -130,17 +93,119 @@ def _nonincreasing(values, tol: float = 1e-12) -> bool:
 
 
 def _grid_around(t: float, factors=(0.0, 0.5, 1.0, 2.0, 4.0)) -> list[float]:
+    """The multiples ``factors * t`` plus t, or the factors themselves unless t > 0."""
+    if not t > 0:
+        return [float(f) for f in factors]
     grid = sorted({round(f * t, 12) for f in factors} | {round(t, 12)})
     return [float(g) for g in grid]
 
 
-def _fixed_collapsed_matrix(d: int, s: int, rng: np.random.Generator,
-                            B=None, partition: BlockPartition | None = None,
-                            rows_per_block: int = 2) -> np.ndarray:
-    """Resolve a fixed collapsed matrix with s rows from B (drawn if absent)."""
+def _tail_report(check: str, params: dict, t: float, trials: int, exceed_at, grid,
+                 threshold: float, bound: float | None = None, holds: bool = True,
+                 **details) -> BoundReport:
+    """Evaluate the exceedance frequency ``exceed_at`` along ``grid`` and at ``t``.
+
+    The check passes when the exceedance is nonincreasing along the grid,
+    ``holds`` is true and, for a stated tail ``bound``, the frequency at t stays
+    within the bound plus its 3-sigma binomial margin.
+    """
+    exceed = [exceed_at(g) for g in grid]
+    empirical = exceed_at(t)
+    passed = _nonincreasing(exceed) and holds and (
+        bound is None or empirical <= bound + binomial_margin(bound, trials))
+    return BoundReport(check=check, params=params, threshold=threshold, bound=bound,
+                       empirical=empirical, trials=trials, passed=passed,
+                       details={**details, "t_grid": list(grid), "exceedance": exceed})
+
+
+# ------------------------------------------------------------- r-local checks
+
+def jl_threshold(d: int, s: int, t: float) -> float:
+    """Relative-error pivot (1 + t) sqrt((d - s) / d) of the random-projection bound."""
+    _require_underdetermined(d, s)
+    if s == 0 or t < 0:
+        raise InvalidRange(f"need 0 < s < d and t >= 0, got s={s}, d={d}, t={t}")
+    return (1.0 + t) * math.sqrt((d - s) / d)
+
+
+def _rlocal_partition(d: int, s: int, rows_per_block: int) -> BlockPartition:
+    """s equal blocks of rows_per_block rows, once 0 < s < d is checked."""
+    jl_threshold(d, s, 0.0)
+    return BlockPartition.equal_blocks(s * rows_per_block, rows_per_block)
+
+
+def _rlocal_init_errors(x_star: np.ndarray, partition: BlockPartition, trials: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """||X* - init_rlocal||_F with a fresh Gaussian B and noiseless Y = B X* per trial."""
+    errors = np.empty(trials)
+    for i in range(trials):
+        B = rng.standard_normal((partition.n, x_star.shape[0]))
+        errors[i] = np.linalg.norm(x_star - init_rlocal(build_collapsed(B, B @ x_star, partition)))
+    return errors
+
+
+def _ratio_report(check: str, params: dict, d: int, s: int, t: float, trials: int,
+                  ratios: np.ndarray, t_grid, band_margin: float) -> BoundReport:
+    """Error ratios against (1 + t) sqrt((d - s)/d), plus the band (1 +- t) at t."""
+    base = jl_threshold(d, s, 0.0)
+    grid = sorted(set(t_grid if t_grid is not None else (0.1, 0.25, 0.5, 1.0, 2.0)) | {t})
+    band = float(np.mean(((1.0 - t) * base <= ratios) & (ratios <= (1.0 + t) * base)))
+    return _tail_report(check, params, t, trials,
+                        lambda g: float(np.mean(ratios >= (1.0 + g) * base)), grid,
+                        jl_threshold(d, s, t), holds=band >= 1.0 - band_margin,
+                        band_frequency=band, median_ratio=float(np.median(ratios)))
+
+
+def check_lemma1(d: int, s: int, t: float, trials: int, rng: np.random.Generator,
+                 rows_per_block: int = 2, t_grid: list[float] | None = None,
+                 band_margin: float = 0.1) -> BoundReport:
+    """Relative error of the collapsed initialization under Gaussian measurements.
+
+    For a fixed unit signal and a fresh Gaussian measurement matrix per trial,
+    the relative error concentrates at sqrt((d - s)/d): the frequency of
+    exceeding (1 + t) sqrt((d - s)/d) must decay along the t-grid, and the
+    two-sided band (1 +- t) sqrt((d - s)/d) must capture at least
+    1 - band_margin of the trials at the headline t. This is check_theorem1
+    at m = 1 with a unit-norm signal, so the errors need no division.
+    """
+    _require_trials(trials)
+    partition = _rlocal_partition(d, s, rows_per_block)
+    x_star = rng.standard_normal((d, 1))
+    x_star /= np.linalg.norm(x_star)
+    errors = _rlocal_init_errors(x_star, partition, trials, rng)
+    return _ratio_report("lemma1", {"d": d, "s": s, "t": t, "rows_per_block": rows_per_block},
+                         d, s, t, trials, errors, t_grid, band_margin)
+
+
+def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
+                   rng: np.random.Generator, rows_per_block: int = 2,
+                   t_grid: list[float] | None = None, band_margin: float = 0.1) -> BoundReport:
+    """Multi-column version of check_lemma1 on Frobenius-norm ratios.
+
+    The threshold (1 + t) sqrt((d - s)/d) does not depend on the number of
+    columns m; with m = 1 this reduces to the single-vector check.
+    """
+    _require_trials(trials)
+    if m < 1:
+        raise InvalidRange(f"m must be >= 1, got {m}")
+    partition = _rlocal_partition(d, s, rows_per_block)
+    x_star = rng.standard_normal((d, m))
+    errors = _rlocal_init_errors(x_star, partition, trials, rng)
+    return _ratio_report("theorem1",
+                         {"d": d, "s": s, "m": m, "t": t, "rows_per_block": rows_per_block},
+                         d, s, t, trials, errors / np.linalg.norm(x_star), t_grid, band_margin)
+
+
+def _projection_sq_errors(d: int, s: int, columns: int, rng: np.random.Generator, B,
+                          partition: BlockPartition | None, K: float) -> np.ndarray:
+    """Squared norms of (I - P) K Z for Z ~ N(0, I_d) with the given column count.
+
+    P projects onto the row space of one fixed collapsed matrix with s rows,
+    collapsed from B (two rows per block of a Gaussian B when B is absent).
+    """
     if B is None:
-        B = rng.standard_normal((s * rows_per_block, d))
-        partition = BlockPartition.equal_blocks(s * rows_per_block, rows_per_block)
+        B = rng.standard_normal((s * 2, d))
+        partition = BlockPartition.equal_blocks(s * 2, 2)
     else:
         B = as_matrix(B, "B")
         if B.shape[1] != d:
@@ -155,99 +220,9 @@ def _fixed_collapsed_matrix(d: int, s: int, rng: np.random.Generator,
                 raise InvalidRange(f"cannot infer an s={s}-block partition for {rows} rows")
         if partition.block_count != s:
             raise InvalidRange(f"partition has {partition.block_count} blocks, expected s={s}")
-    return build_collapsed(B, np.zeros((B.shape[0], 1)), partition).B_tilde
-
-
-# ------------------------------------------------------------- r-local checks
-
-def jl_threshold(d: int, s: int, t: float) -> float:
-    """Relative-error pivot (1 + t) sqrt((d - s) / d) of the random-projection bound."""
-    _require_underdetermined(d, s)
-    if s == 0 or t < 0:
-        raise InvalidRange(f"need 0 < s < d and t >= 0, got s={s}, d={d}, t={t}")
-    return (1.0 + t) * math.sqrt((d - s) / d)
-
-
-def check_lemma1(d: int, s: int, t: float, trials: int, rng: np.random.Generator,
-                 rows_per_block: int = 2, t_grid=None,
-                 band_margin: float = 0.1) -> BoundReport:
-    """Relative error of the collapsed initialization under Gaussian measurements.
-
-    For a fixed unit signal and a fresh Gaussian measurement matrix per trial,
-    the relative error concentrates at sqrt((d - s)/d): the frequency of
-    exceeding (1 + t) sqrt((d - s)/d) must decay along the t-grid, and the
-    two-sided band (1 +- t) sqrt((d - s)/d) must capture at least
-    1 - band_margin of the trials at the headline t.
-    """
-    _require_trials(trials)
-    base = jl_threshold(d, s, 0.0)
-    n = s * rows_per_block
-    partition = BlockPartition.equal_blocks(n, rows_per_block)
-    x_star = rng.standard_normal(d)
-    x_star /= np.linalg.norm(x_star)
-
-    ratios = np.empty(trials)
-    for i in range(trials):
-        B = rng.standard_normal((n, d))
-        cs = build_collapsed(B, (B @ x_star)[:, None], partition)
-        x_hat = init_rlocal(cs).ravel()
-        ratios[i] = np.linalg.norm(x_star - x_hat)
-
-    grid = sorted(set(t_grid) | {t}) if t_grid is not None else sorted({0.1, 0.25, 0.5, 1.0, 2.0} | {t})
-    exceed = [float(np.mean(ratios >= (1.0 + g) * base)) for g in grid]
-    band = float(np.mean(((1.0 - t) * base <= ratios) & (ratios <= (1.0 + t) * base)))
-    passed = _nonincreasing(exceed) and band >= 1.0 - band_margin
-    return BoundReport(
-        check="lemma1",
-        params={"d": d, "s": s, "t": t, "rows_per_block": rows_per_block},
-        threshold=jl_threshold(d, s, t),
-        bound=None,
-        empirical=exceed[grid.index(t)],
-        trials=trials,
-        passed=passed,
-        details={"t_grid": list(grid), "exceedance": exceed,
-                 "band_frequency": band, "median_ratio": float(np.median(ratios))},
-    )
-
-
-def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
-                   rng: np.random.Generator, rows_per_block: int = 2,
-                   t_grid=None, band_margin: float = 0.1) -> BoundReport:
-    """Multi-column version of check_lemma1 on Frobenius-norm ratios.
-
-    The threshold (1 + t) sqrt((d - s)/d) does not depend on the number of
-    columns m; with m = 1 this reduces to the single-vector check.
-    """
-    _require_trials(trials)
-    if m < 1:
-        raise InvalidRange(f"m must be >= 1, got {m}")
-    base = jl_threshold(d, s, 0.0)
-    n = s * rows_per_block
-    partition = BlockPartition.equal_blocks(n, rows_per_block)
-    x_star = rng.standard_normal((d, m))
-    x_norm = np.linalg.norm(x_star)
-
-    ratios = np.empty(trials)
-    for i in range(trials):
-        B = rng.standard_normal((n, d))
-        cs = build_collapsed(B, B @ x_star, partition)
-        ratios[i] = np.linalg.norm(x_star - init_rlocal(cs)) / x_norm
-
-    grid = sorted(set(t_grid) | {t}) if t_grid is not None else sorted({0.1, 0.25, 0.5, 1.0, 2.0} | {t})
-    exceed = [float(np.mean(ratios >= (1.0 + g) * base)) for g in grid]
-    band = float(np.mean(((1.0 - t) * base <= ratios) & (ratios <= (1.0 + t) * base)))
-    passed = _nonincreasing(exceed) and band >= 1.0 - band_margin
-    return BoundReport(
-        check="theorem1",
-        params={"d": d, "s": s, "m": m, "t": t, "rows_per_block": rows_per_block},
-        threshold=jl_threshold(d, s, t),
-        bound=None,
-        empirical=exceed[grid.index(t)],
-        trials=trials,
-        passed=passed,
-        details={"t_grid": list(grid), "exceedance": exceed,
-                 "band_frequency": band, "median_ratio": float(np.median(ratios))},
-    )
+    b_tilde = build_collapsed(B, np.zeros((B.shape[0], 1)), partition).B_tilde
+    E = (np.eye(d) - row_space_projector(b_tilde)) @ (K * rng.standard_normal((d, columns)))
+    return np.sum(E * E, axis=0)
 
 
 def check_lemma2(d: int, s: int, t: float, trials: int, rng: np.random.Generator,
@@ -262,39 +237,12 @@ def check_lemma2(d: int, s: int, t: float, trials: int, rng: np.random.Generator
     _require_trials(trials)
     if t < 0:
         raise InvalidRange(f"t must be >= 0, got {t}")
-    b_tilde = _fixed_collapsed_matrix(d, s, rng, B, partition)
-    complement = np.eye(d) - row_space_projector(b_tilde)
-    X = K * rng.standard_normal((d, trials))
-    E = complement @ X
-    err_sq = np.sum(E * E, axis=0)
-
+    err_sq = _projection_sq_errors(d, s, trials, rng, B, partition, K)
     c1 = const_c1(d, s, K)
     k1 = const_k1(d, s, K)
-    grid = _grid_around(t) if t > 0 else [0.0, 0.5, 1.0, 2.0, 4.0]
-    exceed = [float(np.mean(err_sq >= c1 + k1 * g)) for g in grid]
-    bound = math.exp(-t)
-    empirical = float(np.mean(err_sq >= c1 + k1 * t))
-    passed = _nonincreasing(exceed) and empirical <= bound + binomial_margin(bound, trials)
-    return BoundReport(
-        check="lemma2",
-        params={"d": d, "s": s, "t": t, "K": K},
-        threshold=c1 + k1 * t,
-        bound=bound,
-        empirical=empirical,
-        trials=trials,
-        passed=passed,
-        details={"c1": c1, "K1": k1, "t_grid": grid, "exceedance": exceed},
-    )
-
-
-def tilde_e(err_sq: float, c1: float) -> float:
-    """Clipped error variable max(c1, err_sq).
-
-    Dominates the squared error, never falls below the centering constant, and
-    coincides with the squared error exactly on the upper tail, which makes
-    its shifted version a nonnegative sub-exponential variable.
-    """
-    return max(float(c1), float(err_sq))
+    return _tail_report("lemma2", {"d": d, "s": s, "t": t, "K": K}, t, trials,
+                        lambda g: float(np.mean(err_sq >= c1 + k1 * g)), _grid_around(t),
+                        c1 + k1 * t, bound=math.exp(-t), c1=c1, K1=k1)
 
 
 def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator,
@@ -318,30 +266,17 @@ def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator
         t = t_star
     if t < 0:
         raise InvalidRange(f"t must be >= 0, got {t}")
+    err_sq = _projection_sq_errors(d, s, trials * m, rng, B, partition, K)
+    stat = np.sqrt(err_sq).reshape(trials, m).sum(axis=1) - m * c2
 
-    b_tilde = _fixed_collapsed_matrix(d, s, rng, B, partition)
-    complement = np.eye(d) - row_space_projector(b_tilde)
-    X = K * rng.standard_normal((d, trials * m))
-    E = complement @ X
-    norms = np.sqrt(np.sum(E * E, axis=0)).reshape(trials, m)
-    stat = norms.sum(axis=1) - m * c2
+    def exceed_at(g: float) -> float:
+        return float(np.mean(stat >= g))
 
-    grid = sorted({0.0, t / 4.0, t / 2.0, t, t_star, 2.0 * max(t, t_star)})
-    exceed = [float(np.mean(stat >= g)) for g in grid]
-    empirical = float(np.mean(stat >= t))
-    at_star = float(np.mean(stat >= t_star))
-    passed = _nonincreasing(exceed) and at_star <= smallness
-    return BoundReport(
-        check="theorem2",
-        params={"d": d, "s": s, "m": m, "t": t, "K": K},
-        threshold=t,
-        bound=None,
-        empirical=empirical,
-        trials=trials,
-        passed=passed,
-        details={"c2": c2, "K1": k1, "t_star": t_star, "exceedance_at_t_star": at_star,
-                 "t_grid": list(grid), "exceedance": exceed},
-    )
+    at_star = exceed_at(t_star)
+    return _tail_report("theorem2", {"d": d, "s": s, "m": m, "t": t, "K": K}, t, trials,
+                        exceed_at, sorted({0.0, t / 4.0, t / 2.0, t, t_star, 2.0 * max(t, t_star)}),
+                        t, holds=at_star <= smallness, c2=c2, K1=k1, t_star=t_star,
+                        exceedance_at_t_star=at_star)
 
 
 # ------------------------------------------------------------- k-sparse checks
@@ -349,6 +284,33 @@ def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator
 def _validate_k(n: int, k: int) -> None:
     if k == 1 or not 0 <= k <= n - 1:
         raise InvalidRange(f"need 0 <= k <= n-1 and k != 1, got k={k}, n={n}")
+
+
+def _kshuffle_draws(x_star: np.ndarray, n: int, k: int, trials: int,
+                    rng: np.random.Generator):
+    """Per trial: a Gaussian B, Y* = B X* and Y* with exactly k rows shuffled."""
+    for _ in range(trials):
+        B = rng.standard_normal((n, x_star.shape[0]))
+        y_star = B @ x_star
+        yield B, y_star, apply(sample_ksparse(n, k, rng), y_star)
+
+
+def _kshuffle_report(check: str, params: dict, n: int, k: int, t: float, trials: int,
+                     grid, stat: np.ndarray, ysq: np.ndarray, xsq: float,
+                     f1=0.0, **extra) -> BoundReport:
+    """Frequency of stat >= 2||Y*||^2 - 2||X*||^2 (n - k - c3 sqrt(t) - 3t) - F1.
+
+    The tail bound is min(1, 7 exp(-t)); the report's threshold is the
+    inner-product pivot n - k - c3 sqrt(t) - 3t.
+    """
+    c3 = const_c3(n, k)
+
+    def pivot(tt: float) -> float:
+        return n - k - c3 * math.sqrt(tt) - 3.0 * tt
+
+    return _tail_report(check, params, t, trials,
+                        lambda g: float(np.mean(stat >= 2.0 * ysq - 2.0 * xsq * pivot(g) - f1)),
+                        grid, pivot(t), bound=min(1.0, 7.0 * math.exp(-t)), c3=c3, **extra)
 
 
 def check_lemma4(n: int, d: int, k: int, t: float, trials: int,
@@ -364,38 +326,14 @@ def check_lemma4(n: int, d: int, k: int, t: float, trials: int,
     if t < 0:
         raise InvalidRange(f"t must be >= 0, got {t}")
     x_star = rng.standard_normal(d)
-    xsq = float(x_star @ x_star)
-    c3 = const_c3(n, k)
-
     err_sq = np.empty(trials)
     ystar_sq = np.empty(trials)
-    for i in range(trials):
-        B = rng.standard_normal((n, d))
-        y_star = B @ x_star
-        y0 = apply(sample_ksparse(n, k, rng), y_star)
+    for i, (_, y_star, y0) in enumerate(_kshuffle_draws(x_star, n, k, trials, rng)):
         err_sq[i] = float(np.sum((y_star - y0) ** 2))
         ystar_sq[i] = float(y_star @ y_star)
-
-    def exceed_at(tt: float) -> float:
-        thr = 2.0 * ystar_sq - 2.0 * xsq * (n - k - c3 * math.sqrt(tt) - 3.0 * tt)
-        return float(np.mean(err_sq >= thr))
-
-    grid = _grid_around(t) if t > 0 else [0.0, 0.5, 1.0, 2.0, 4.0]
-    exceed = [exceed_at(g) for g in grid]
-    bound = min(1.0, 7.0 * math.exp(-t))
-    empirical = exceed_at(t)
-    passed = _nonincreasing(exceed) and empirical <= bound + binomial_margin(bound, trials)
-    return BoundReport(
-        check="lemma4",
-        params={"n": n, "d": d, "k": k, "t": t},
-        threshold=n - k - c3 * math.sqrt(t) - 3.0 * t,
-        bound=bound,
-        empirical=empirical,
-        trials=trials,
-        passed=passed,
-        details={"c3": c3, "t_grid": grid, "exceedance": exceed,
-                 "threshold_form": "inner-product pivot n - k - c3 sqrt(t) - 3 t"},
-    )
+    return _kshuffle_report("lemma4", {"n": n, "d": d, "k": k, "t": t}, n, k, t, trials,
+                            _grid_around(t), err_sq, ystar_sq, float(x_star @ x_star),
+                            threshold_form="inner-product pivot n - k - c3 sqrt(t) - 3 t")
 
 
 def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
@@ -416,17 +354,10 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
     if t < math.log(m * m):
         raise InvalidRange(f"need t >= log(m^2) = {math.log(m * m):.4f}, got {t}")
     x_star = rng.standard_normal((d, m))
-    xsq = float(np.sum(x_star * x_star))
-    c3 = const_c3(n, k)
-
     lhs = np.empty(trials)
     f1 = np.empty(trials)
     ysq = np.empty(trials)
-    uncond_violations = 0
-    for i in range(trials):
-        B = rng.standard_normal((n, d))
-        y_star = B @ x_star
-        y0 = apply(sample_ksparse(n, k, rng), y_star)
+    for i, (B, y_star, y0) in enumerate(_kshuffle_draws(x_star, n, k, trials, rng)):
         x_hat1 = pinv_solve(B, y0)
         resid = y0 - B @ x_hat1
         f1[i] = float(np.sum(resid * resid))
@@ -434,31 +365,12 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
         # sigma_min over the signal domain: zero when B is wide (rank < d)
         smin = extreme_singular_values(B)[0] if n >= d else 0.0
         lhs[i] = smin * smin * float(np.sum((x_star - x_hat1) ** 2))
-        if lhs[i] > 4.0 * ysq[i] - f1[i] + slack * 4.0 * ysq[i]:
-            uncond_violations += 1
-
-    def exceed_at(tt: float) -> float:
-        thr = 2.0 * ysq - 2.0 * xsq * (n - k - c3 * math.sqrt(tt) - 3.0 * tt) - f1
-        return float(np.mean(lhs >= thr))
-
+    violations = int(np.count_nonzero(lhs > 4.0 * ysq - f1 + slack * 4.0 * ysq))
     t_lo = math.log(m * m)
     grid = sorted({max(t_lo, f * t) for f in (1.0, 1.5, 2.0, 3.0, 4.0)} | {t})
-    exceed = [exceed_at(g) for g in grid]
-    bound = min(1.0, 7.0 * math.exp(-t))
-    empirical = exceed_at(t)
-    passed = (_nonincreasing(exceed) and uncond_violations == 0
-              and empirical <= bound + binomial_margin(bound, trials))
-    return BoundReport(
-        check="theorem3",
-        params={"n": n, "d": d, "k": k, "m": m, "t": t},
-        threshold=n - k - c3 * math.sqrt(t) - 3.0 * t,
-        bound=bound,
-        empirical=empirical,
-        trials=trials,
-        passed=passed,
-        details={"c3": c3, "t_grid": grid, "exceedance": exceed,
-                 "unconditional_violations": uncond_violations},
-    )
+    return _kshuffle_report("theorem3", {"n": n, "d": d, "k": k, "m": m, "t": t}, n, k, t,
+                            trials, grid, lhs, ysq, float(np.sum(x_star * x_star)), f1,
+                            holds=violations == 0, unconditional_violations=violations)
 
 
 # ------------------------------------------------------------- generic tails
@@ -473,26 +385,14 @@ def chi2_tail_check(D: int, t: float, trials: int, rng: np.random.Generator) -> 
     if D < 1 or t < 0:
         raise InvalidRange(f"need D >= 1 and t >= 0, got D={D}, t={t}")
     Z = rng.chisquare(D, size=trials)
-    upper_thr = D + 2.0 * math.sqrt(D * t) + 2.0 * t
-    lower_thr = D - 2.0 * math.sqrt(D * t)
-    upper = float(np.mean(Z >= upper_thr))
-    lower = float(np.mean(Z <= lower_thr))
     bound = math.exp(-t)
-    margin = binomial_margin(bound, trials)
-    grid = _grid_around(t) if t > 0 else [0.0, 0.5, 1.0, 2.0, 4.0]
-    exceed = [float(np.mean(Z >= D + 2.0 * math.sqrt(D * g) + 2.0 * g)) for g in grid]
-    passed = _nonincreasing(exceed) and upper <= bound + margin and lower <= bound + margin
-    return BoundReport(
-        check="chi2",
-        params={"D": D, "t": t},
-        threshold=upper_thr,
-        bound=bound,
-        empirical=upper,
-        trials=trials,
-        passed=passed,
-        details={"lower_threshold": lower_thr, "lower_frequency": lower,
-                 "t_grid": grid, "exceedance": exceed},
-    )
+    lower_thr = D - 2.0 * math.sqrt(D * t)
+    lower = float(np.mean(Z <= lower_thr))
+    return _tail_report("chi2", {"D": D, "t": t}, t, trials,
+                        lambda g: float(np.mean(Z >= D + 2.0 * math.sqrt(D * g) + 2.0 * g)),
+                        _grid_around(t), D + 2.0 * math.sqrt(D * t) + 2.0 * t, bound=bound,
+                        holds=lower <= bound + binomial_margin(bound, trials),
+                        lower_threshold=lower_thr, lower_frequency=lower)
 
 
 def worst_case_init_bound(B, x_hat, y) -> float:

@@ -1,7 +1,14 @@
+import inspect
 import json
 import math
+import tempfile
+from pathlib import Path
 
-from unlabeled_sensing.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unlabeled_sensing.cli import CHECK_FUNCS, main
 
 
 def run(argv):
@@ -244,6 +251,81 @@ def test_validate_theory_spec_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_SUITE_INPUTS = [
+    ("spec", [{"check": "chi2"}], "non-empty 'checks' list"),
+    ("spec", {"checks": ["chi2"]}, "must be an object"),
+    ("spec", {"checks": [{"check": "chi2", "params": [1, 2]}]}, "check chi2: params"),
+    ("spec", {"checks": [{"check": "chi2", "params": {"bogus": 1}}]},
+     "check chi2: unknown parameter 'bogus'"),
+    ("spec", {"checks": [{"check": "chi2", "params": {"trials": "abc"}}]},
+     "check chi2: invalid value for trials"),
+    ("spec", {"checks": [{"check": "chi2", "params": {"D": "abc"}}]},
+     "check chi2: invalid value for D"),
+    ("spec", {"checks": [{"check": "chi2", "params": {"t": "x"}}]},
+     "check chi2: invalid value for t"),
+    ("spec", {"checks": [{"check": "chi2", "params": {"trials": 10.5}}]},
+     "check chi2: invalid value for trials"),
+    ("config", {"checks": 5}, "checks must be comma-separated names"),
+]
+
+
+@pytest.mark.parametrize("flag,payload,message", BAD_SUITE_INPUTS,
+                         ids=[json.dumps(p) for _, p, _ in BAD_SUITE_INPUTS])
+def test_validate_theory_malformed_suite_is_usage_error(tmp_path, capsys, flag, payload,
+                                                        message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", f"--{flag}", path, "--seed", 1, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NUMBERS = st.one_of(st.integers(-50, 50), st.floats(-50, 50, allow_nan=False))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _or_junk(strategy, junk=_JSON):
+    """Mostly ``strategy``; ``junk`` in its place one time in eight."""
+    return st.sampled_from((strategy,) * 7 + (junk,)).flatmap(lambda pick: pick)
+
+
+def _entries_for(name):
+    # every generated entry sets params and every params object sets trials
+    # (at most 50, mostly at most 20), so that no example runs a check at its
+    # default trial count; half of the integer values are negative, which the
+    # spec check must reject before a check draws arrays of that size
+    keys = set(inspect.signature(CHECK_FUNCS[name]).parameters) - {"rng", "trials"}
+    values = _or_junk(st.one_of(st.integers(0, 50), st.integers(-50, -1)),
+                      st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=3), _JSON))
+    params = st.fixed_dictionaries({"trials": _or_junk(st.integers(1, 20))},
+                                   optional={key: values for key in sorted(keys)})
+    # an empty params object would run the check at its default trial count
+    junk_params = _JSON.filter(lambda value: value != {})
+    return st.fixed_dictionaries({"check": st.just(name),
+                                  "params": _or_junk(params, junk_params)})
+
+
+_ENTRY = _or_junk(st.sampled_from(sorted(CHECK_FUNCS)).flatmap(_entries_for))
+_SPEC = _or_junk(st.fixed_dictionaries(
+    {"checks": _or_junk(st.lists(_ENTRY, min_size=1, max_size=2))}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_SPEC)
+def test_validate_theory_spec_exit_code_is_0_1_or_2(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "suite.json"
+        spec.write_text(json.dumps(payload))
+        code = run(["validate-theory", "--spec", spec, "--seed", 0,
+                    "--out", Path(tmp) / "r.json"])
+    assert code in (0, 1, 2)
+
+
 # ------------------------------------------------------------- config file
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -300,6 +382,14 @@ def test_solve_non_numeric_sigma_is_usage_error(tmp_path, capsys):
     _edit_json(bundle / "meta.json", sigma="abc")
     assert run(["solve", bundle]) == 2
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["meta.json", "truth.json"])
+def test_solve_non_object_bundle_json_is_usage_error(tmp_path, capsys, name):
+    bundle = _small_bundle(tmp_path)
+    (bundle / name).write_text("[]\n")
+    assert run(["solve", bundle]) == 2
+    assert f"{name} must hold a JSON object" in capsys.readouterr().err
 
 
 def test_non_numeric_config_scalars_are_usage_errors(tmp_path, capsys):

@@ -1,16 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from _oracles import (reference_check_lemma1, reference_check_lemma2,
+                      reference_check_lemma4, reference_check_theorem1,
+                      reference_check_theorem2, reference_check_theorem3,
+                      reference_chi2_tail_check, reference_report_dict)
 from unlabeled_sensing.errors import InvalidRange, InvalidSpec, SingularMatrix
 from unlabeled_sensing.linalg import pinv_solve
-from unlabeled_sensing.theory import (BoundParams, binomial_margin,
-                                      check_lemma1, check_lemma2, check_lemma4,
-                                      check_theorem1, check_theorem2,
+from unlabeled_sensing.permutation import BlockPartition
+from unlabeled_sensing.theory import (binomial_margin, check_lemma1, check_lemma2,
+                                      check_lemma4, check_theorem1, check_theorem2,
                                       check_theorem3, check_worst_case,
                                       chi2_tail_check, const_c1, const_c2,
-                                      const_c3, const_k1, jl_threshold, tilde_e,
+                                      const_c3, const_k1, jl_threshold,
                                       worst_case_init_bound)
 
 
@@ -40,18 +45,6 @@ def test_derived_constants_frozen_values():
     assert abs(const_c2(80, 40, K=2.0) - 2 * const_c2(80, 40)) <= 1e-12
 
 
-def test_bound_params_properties_and_validation():
-    params = BoundParams(n=200, d=80, s=40, k=20)
-    assert params.c1 == const_c1(80, 40)
-    assert params.K1 == const_k1(80, 40)
-    assert params.c2 == const_c2(80, 40)
-    assert params.c3 == const_c3(200, 20)
-    with pytest.raises(InvalidRange):
-        _ = BoundParams(d=40, s=40).c1
-    with pytest.raises(InvalidRange):
-        _ = BoundParams(n=5, k=9).c3
-
-
 def test_derived_constants_nonnegative():
     for d, s in ((10, 5), (100, 99), (64, 1)):
         assert const_c1(d, s) >= 0
@@ -59,18 +52,6 @@ def test_derived_constants_nonnegative():
         assert const_c2(d, s) >= 0
     for n, k in ((10, 0), (10, 9), (200, 150)):
         assert const_c3(n, k) >= 0
-
-
-def test_tilde_e_clipping():
-    assert tilde_e(2.0, 5.0) == 5.0    # below the centering: clipped
-    assert tilde_e(10.0, 5.0) == 10.0  # above: passes through
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        err = float(rng.uniform(0, 20))
-        c1 = float(rng.uniform(0, 20))
-        val = tilde_e(err, c1)
-        assert val >= err
-        assert val >= c1
 
 
 # ------------------------------------------------------------- r-local checks
@@ -301,3 +282,92 @@ def test_every_check_exceedance_monotone_on_grid():
         exceed = rep.details["exceedance"]
         assert len(grid) >= 5
         assert all(b <= a + 1e-12 for a, b in zip(exceed, exceed[1:])), rep.check
+
+
+# ------------------------------------------------------------- same reports as the reference
+
+CHECKS = {
+    "lemma1": (check_lemma1, reference_check_lemma1),
+    "theorem1": (check_theorem1, reference_check_theorem1),
+    "lemma2": (check_lemma2, reference_check_lemma2),
+    "theorem2": (check_theorem2, reference_check_theorem2),
+    "lemma4": (check_lemma4, reference_check_lemma4),
+    "theorem3": (check_theorem3, reference_check_theorem3),
+    "chi2": (chi2_tail_check, reference_chi2_tail_check),
+}
+
+_B = np.random.default_rng(40).standard_normal((12, 8))
+
+SAME_REPORT_CASES = [
+    ("lemma1", dict(d=100, s=75, t=0.5, trials=20)),
+    ("lemma1", dict(d=50, s=25, t=10.0, trials=10)),
+    ("lemma1", dict(d=20, s=10, t=0.0, trials=10)),
+    ("lemma1", dict(d=30, s=20, t=0.25, trials=15, rows_per_block=3,
+                    t_grid=[1.5, 0.25, 0.0], band_margin=0.5)),
+    ("theorem1", dict(d=64, s=48, m=8, t=0.5, trials=10)),
+    ("theorem1", dict(d=40, s=30, m=1, t=0.25, trials=20, t_grid=[1.0])),
+    ("lemma2", dict(d=80, s=40, t=2.0, trials=200)),
+    ("lemma2", dict(d=30, s=15, t=0.0, trials=50)),
+    ("lemma2", dict(d=20, s=5, t=1.0, trials=50, K=2.0)),
+    ("lemma2", dict(d=8, s=6, t=1.0, trials=50, B=_B)),
+    ("lemma2", dict(d=8, s=4, t=0.5, trials=50, B=_B,
+                    partition=BlockPartition((1, 2, 4, 5)))),
+    ("theorem2", dict(d=60, s=30, m=4, trials=100)),
+    ("theorem2", dict(d=30, s=10, m=1, trials=40, t=0.0)),
+    ("theorem2", dict(d=8, s=3, m=2, trials=40, t=3.0, K=2.0, smallness=0.5,
+                      B=_B[:3])),
+    ("lemma4", dict(n=200, d=10, k=20, t=3.0, trials=30)),
+    ("lemma4", dict(n=50, d=5, k=0, t=1.0, trials=20)),
+    ("lemma4", dict(n=30, d=4, k=5, t=0.0, trials=20)),
+    ("theorem3", dict(n=150, d=8, k=15, m=3, t=math.log(9.0) + 2.0, trials=10)),
+    ("theorem3", dict(n=40, d=5, k=0, m=2, t=math.log(4.0) + 1.0, trials=10)),
+    ("theorem3", dict(n=6, d=9, k=3, m=1, t=1.0, trials=10)),
+    ("chi2", dict(D=50, t=1.0, trials=500)),
+    ("chi2", dict(D=1, t=1e-9, trials=100)),
+    ("chi2", dict(D=5, t=0.0, trials=100)),
+]
+
+BAD_PARAM_CASES = [
+    ("lemma1", dict(d=40, s=30, t=0.5, trials=0)),
+    ("lemma1", dict(d=40, s=40, t=0.5, trials=5)),
+    ("lemma1", dict(d=40, s=30, t=-0.5, trials=5)),
+    ("theorem1", dict(d=40, s=30, m=0, t=0.5, trials=5)),
+    ("lemma2", dict(d=30, s=15, t=-1.0, trials=5)),
+    ("lemma2", dict(d=9, s=6, t=1.0, trials=5, B=_B)),
+    ("lemma2", dict(d=8, s=5, t=1.0, trials=5, B=_B)),
+    ("theorem2", dict(d=30, s=15, m=2, trials=5, t=-1.0)),
+    ("lemma4", dict(n=50, d=5, k=1, t=1.0, trials=5)),
+    ("lemma4", dict(n=50, d=5, k=5, t=-1.0, trials=5)),
+    ("theorem3", dict(n=40, d=5, k=3, m=4, t=1.0, trials=5)),
+    ("chi2", dict(D=0, t=1.0, trials=5)),
+]
+
+
+def _case_id(case):
+    name, params = case
+    return name + "-" + "-".join(f"{k}={v}" for k, v in params.items() if k not in ("B", "partition"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name,params", SAME_REPORT_CASES,
+                         ids=[_case_id(c) for c in SAME_REPORT_CASES])
+def test_check_reports_match_reference(name, params, seed):
+    # same floats bit for bit (json writes each float's shortest round-trip
+    # repr); only the key order inside ``details`` may differ
+    check, reference = CHECKS[name]
+    new = json.loads(json.dumps(check(rng=np.random.default_rng(seed), **params).to_dict()))
+    ref = json.loads(json.dumps(reference_report_dict(
+        reference(rng=np.random.default_rng(seed), **params))))
+    assert json.dumps(new, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+@pytest.mark.parametrize("name,params", BAD_PARAM_CASES,
+                         ids=[_case_id(c) for c in BAD_PARAM_CASES])
+def test_check_errors_match_reference(name, params):
+    check, reference = CHECKS[name]
+    with pytest.raises(Exception) as ref_exc:
+        reference(rng=np.random.default_rng(0), **params)
+    with pytest.raises(type(ref_exc.value)) as new_exc:
+        check(rng=np.random.default_rng(0), **params)
+    assert type(new_exc.value) is type(ref_exc.value)
+    assert str(new_exc.value) == str(ref_exc.value)

@@ -1,8 +1,10 @@
 """Command-line entry point: synth, ingest, solve, bench, validate-theory.
 
-Flag values take precedence over the optional JSON --config file, which takes
-precedence over built-in defaults. Exit codes: 0 success, 1 a theory check
-failed validation, 2 usage / parse / I-O errors.
+Each command declares its options once, in an option table. The table builds
+the command's flags, and one resolver takes each value from its flag, else
+from the optional JSON --config file, else from its default, and converts and
+checks it the same way whichever source it came from. Exit codes: 0 success,
+1 a theory check failed validation, 2 usage / parse / I-O errors.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,116 +54,135 @@ DEFAULT_SUITE = {
 }
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"config file {path} must hold a JSON object")
-    return payload
+# ---------------------------------------------------------------- options
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _opt(args, config: dict, name: str, default, kind=None):
-    """Flag > config file > default, converted by ``kind`` unless None.
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
 
-    A value ``kind`` cannot convert (``{"n": "abc"}`` in a config file) is
-    ``InvalidConfig``.
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _scalar(kind, accepts) -> Callable[[str, object], object]:
+    """Converter to ``kind``: a flag string is parsed, then ``accepts`` must hold."""
+    def convert(name: str, value):
+        try:
+            typed = kind(value) if isinstance(value, str) else value
+            if accepts(typed):
+                return kind(typed)
+        except (ValueError, OverflowError):
+            pass
+        raise InvalidConfig(f"invalid value for {name}: {value!r}")
+    return convert
+
+
+_int = _scalar(int, _is_int)
+_count = _scalar(int, _is_count)
+_real = _scalar(float, _is_real)
+_text = _scalar(str, lambda value: isinstance(value, str))
+
+
+def _items(item, noun: str) -> Callable[[str, object], tuple]:
+    """Converter of a comma-separated string or a JSON list, each item by ``item``."""
+    def convert(name: str, value) -> tuple:
+        if isinstance(value, str):
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        elif not isinstance(value, list):
+            raise InvalidConfig(
+                f"{name} must be comma-separated {noun} or a JSON list, got {value!r}")
+        return tuple(item(name, v) for v in value)
+    return convert
+
+
+@dataclass(frozen=True)
+class Option:
+    """The ``--name`` flag and ``name`` config key of a command.
+
+    ``convert(name, value)`` types a flag string or a JSON config value and
+    raises ``InvalidConfig`` for one it cannot take.
     """
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    if kind is None or value is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"invalid value for {name}: {value!r}") from None
+
+    name: str
+    convert: Callable[[str, object], object]
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
 
 
-def _int_list(text) -> tuple[int, ...]:
-    return tuple(int(s) for s in str(text).split(","))
-
-
-def _parse_grid(grid) -> list[float]:
-    """Sweep values from a comma-separated string (flag or config) or a JSON list."""
-    if isinstance(grid, str):
-        values = [v for v in grid.split(",") if v.strip()]
-    elif isinstance(grid, list):
-        values = grid
-    else:
-        raise InvalidSpec(f"grid must be comma-separated numbers or a list, got {grid!r}")
-    if any(isinstance(v, bool) for v in values):
-        raise InvalidSpec(f"cannot parse grid {grid!r} as numbers")
-    try:
-        parsed = [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"cannot parse grid {grid!r} as numbers") from None
-    if not parsed:
-        raise InvalidSpec(f"grid {grid!r} holds no values")
-    return parsed
+_N = Option("n", _count, 100, "rows of B and Y")
+_D = Option("d", _count, 10, "columns of B")
+_MODEL = Option("model", _text, "rlocal", "permutation model (bench: of a sigma sweep)",
+                ("rlocal", "ksparse"))
+_R = Option("r", _count, None, "equal block size for rlocal")
+_K = Option("k", _count, None, "shuffle count for ksparse")
+_SIGMA = Option("sigma", _real, 0.0, "noise standard deviation")
+_B_DIST = Option("b_dist", _text, "gaussian", "distribution of the entries of B",
+                 ("gaussian", "uniform01"))
+_EPSILON = Option("epsilon", _real, 0.01,
+                  "stop when the objective's relative change is at most this")
+_MAX_ITERS = Option("max_iters", _count, 100, "iteration cap of the solver")
+_SEED = Option("seed", _count, 0, "base RNG seed")
+_NAMES = _items(_text, "names")
 
 
 def _build_model(n: int, model_name: str, r: int | None, sizes: tuple[int, ...] | None,
-                 k: int | None):
+                 k: int | None) -> RLocal | KSparse:
     if model_name == "rlocal":
         if sizes:
-            return RLocal(BlockPartition(sizes)), "rlocal"
+            return RLocal(BlockPartition(sizes))
         if r is None:
             raise InvalidConfig("rlocal model needs --r or --sizes")
-        return RLocal(BlockPartition.equal_blocks(n, r)), "rlocal"
-    if model_name == "ksparse":
-        if k is None:
-            raise InvalidConfig("ksparse model needs --k")
-        return KSparse(k), "ksparse"
-    raise InvalidConfig(f"unknown model {model_name!r}")
+        return RLocal(BlockPartition.equal_blocks(n, r))
+    if k is None:
+        raise InvalidConfig("ksparse model needs --k")
+    return KSparse(k)
 
 
 # ---------------------------------------------------------------- synth
 
-def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    n = _opt(args, config, "n", 100, int)
-    model, _ = _build_model(n, _opt(args, config, "model", "rlocal"),
-                            _opt(args, config, "r", None, int),
-                            _opt(args, config, "sizes", None, _int_list),
-                            _opt(args, config, "k", None, int))
-    synth = SynthConfig(
-        n=n,
-        d=_opt(args, config, "d", 10, int),
-        m=_opt(args, config, "m", 1, int),
-        model=model,
-        sigma=_opt(args, config, "sigma", 0.0, float),
-        b_dist=_opt(args, config, "b_dist", "gaussian"),
-        seed=_opt(args, config, "seed", 0, int),
-    )
-    out = _opt(args, config, "out", None)
-    if out is None:
+SYNTH_OPTIONS = (
+    _N, _D, Option("m", _count, 1, "columns of X"), _MODEL, _R,
+    Option("sizes", _items(_count, "integers"), None, "comma-separated block sizes for rlocal"),
+    _K, _SIGMA, _B_DIST, _SEED, Option("out", _text, None, "bundle directory to write"),
+)
+
+
+def cmd_synth(opts: dict) -> int:
+    model = _build_model(opts["n"], opts["model"], opts["r"], opts["sizes"], opts["k"])
+    synth = SynthConfig(n=opts["n"], d=opts["d"], m=opts["m"], model=model,
+                        sigma=opts["sigma"], b_dist=opts["b_dist"], seed=opts["seed"])
+    if opts["out"] is None:
         raise InvalidConfig("synth requires --out DIRECTORY")
     instance = generate(synth)
-    save_bundle(instance, out, seed=synth.seed, model=model)
-    print(f"wrote instance bundle to {out}")
+    save_bundle(instance, opts["out"], seed=synth.seed, model=model)
+    print(f"wrote instance bundle to {opts['out']}")
     return 0
 
 
 # ---------------------------------------------------------------- ingest
 
-def _parse_cols(text) -> tuple[str, ...]:
-    return tuple(c.strip() for c in str(text).split(",") if c.strip())
+INGEST_OPTIONS = (
+    Option("targets", _NAMES, (), "comma-separated target column names"),
+    Option("features", _NAMES, (), "comma-separated feature column names"),
+    Option("block_cols", _NAMES, (), "comma-separated blocking key columns"),
+    Option("decimals", _int, 0, "decimals the blocking key is rounded to"),
+    _SEED, Option("out", _text, None, "bundle directory to write"),
+)
 
 
-def cmd_ingest(args) -> int:
-    config = _load_config(args.config)
-    targets = _parse_cols(_opt(args, config, "targets", ""))
-    features = _parse_cols(_opt(args, config, "features", ""))
-    block_cols = _parse_cols(_opt(args, config, "block_cols", ""))
-    if not targets or not features:
+def cmd_ingest(opts: dict) -> int:
+    if not opts["targets"] or not opts["features"]:
         raise InvalidConfig("ingest requires --targets and --features column lists")
-    rule = BlockRule(block_cols, decimals=_opt(args, config, "decimals", 0, int))
-    seed = _opt(args, config, "seed", 0, int)
-    out = _opt(args, config, "out", None)
+    rule = BlockRule(opts["block_cols"], decimals=opts["decimals"])
+    seed, out = opts["seed"], opts["out"]
     if out is None:
         raise InvalidConfig("ingest requires --out DIRECTORY")
-    instance = ingest_csv(args.csv, targets, features, rule, seed=seed)
+    instance = ingest_csv(opts["csv"], opts["targets"], opts["features"], rule, seed=seed)
     save_bundle(instance, out, seed=seed, model=RLocal(instance.partition))
     print(f"ingested {instance.n} rows into {instance.partition.block_count} blocks "
           f"(largest {max(instance.partition.sizes)}), wrote {out}")
@@ -191,26 +213,33 @@ def _result_metrics(instance: ProblemInstance, result) -> dict | None:
     return metrics
 
 
-def cmd_solve(args) -> int:
-    config = _load_config(args.config)
-    bundle_dir = Path(args.instance)
+SOLVE_OPTIONS = (
+    Option("mode", _text, None, "solver mode (default: the bundle's model)",
+           ("rlocal", "ksparse")),
+    _EPSILON, _MAX_ITERS,
+    Option("out", _text, None, "output directory (default: the bundle directory)"),
+)
+
+
+def cmd_solve(opts: dict) -> int:
+    bundle_dir = Path(opts["instance"])
     instance = load_bundle(bundle_dir)
     meta = load_bundle_meta(bundle_dir)
 
-    mode = _opt(args, config, "mode", None)
+    mode = opts["mode"]
     if mode is None:
         model = model_from_dict(meta.get("model"))
         mode = "rlocal" if isinstance(model, RLocal) or (
             model is None and instance.partition is not None) else "ksparse"
     solver_config = SolverConfig(
         mode=mode,
-        epsilon=_opt(args, config, "epsilon", 0.01, float),
-        max_iters=_opt(args, config, "max_iters", 100, int),
+        epsilon=opts["epsilon"],
+        max_iters=opts["max_iters"],
         partition=instance.partition if mode == "rlocal" else None,
     )
     result = solve(instance, solver_config)
 
-    out = Path(_opt(args, config, "out", None) or bundle_dir)
+    out = Path(opts["out"] or bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "P_hat.json").write_text(result.p_hat.to_json() + "\n")
     write_matrix_csv(out / "X_hat.csv", result.x_hat)
@@ -251,13 +280,12 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
     sigma = spec["sigma"]
     if sweep == "r":
         model: RLocal | KSparse = RLocal(BlockPartition.equal_blocks(n, int(value)))
-        mode = "rlocal"
     elif sweep == "k":
         model = KSparse(int(value))
-        mode = "ksparse"
     else:
-        model, mode = _build_model(n, spec["model"], spec.get("r"), None, spec.get("k"))
+        model = _build_model(n, spec["model"], spec["r"], None, spec["k"])
         sigma = float(value)
+    mode = "rlocal" if isinstance(model, RLocal) else "ksparse"
     synth = SynthConfig(n=n, d=d, m=m, model=model, sigma=sigma,
                         b_dist=spec["b_dist"], seed=child_seed)
     instance = generate(synth)
@@ -284,47 +312,42 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
     )
 
 
-def cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    sweep = _opt(args, config, "sweep", None)
-    if sweep not in ("r", "k", "sigma"):
-        raise InvalidSpec("bench requires --sweep r|k|sigma")
-    grid_value = _opt(args, config, "grid", None)
-    if not grid_value:
-        raise InvalidSpec("bench requires --grid v1,v2,...")
-    grid = sorted(set(_parse_grid(grid_value)))
-    seeds = _opt(args, config, "seeds", 15, int)
-    if seeds < 1:
-        raise InvalidSpec(f"seeds must be >= 1, got {seeds}")
-    spec = {
-        "sweep": sweep,
-        "grid": grid,
-        "seeds": seeds,
-        "n": _opt(args, config, "n", 100, int),
-        "d": _opt(args, config, "d", 10, int),
-        "m": _opt(args, config, "m", 10, int),
-        "model": _opt(args, config, "model", "rlocal"),
-        "r": _opt(args, config, "r", None, int),
-        "k": _opt(args, config, "k", None, int),
-        "sigma": _opt(args, config, "sigma", 0.0, float),
-        "b_dist": _opt(args, config, "b_dist", "gaussian"),
-        "epsilon": _opt(args, config, "epsilon", 0.01, float),
-        "max_iters": _opt(args, config, "max_iters", 100, int),
-        "seed": _opt(args, config, "seed", 0, int),
-    }
-    config_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
-    threads = _opt(args, config, "threads", 1, int)
+BENCH_OPTIONS = (
+    Option("sweep", _text, None, "parameter the grid sweeps", ("r", "k", "sigma")),
+    Option("grid", _items(_real, "numbers"), None, "comma-separated sweep values"),
+    Option("seeds", _count, 15, "Monte-Carlo runs per grid point"),
+    _N, _D, Option("m", _count, 10, "columns of X"), _MODEL, _R, _K, _SIGMA, _B_DIST,
+    _EPSILON, _MAX_ITERS, _SEED,
+    Option("threads", _count, 1, "worker threads; rows do not depend on it"),
+    Option("out", _text, "sweep.csv", "sweep CSV; the aggregate and the ledger go beside it"),
+)
 
-    tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(seeds)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda t: _bench_task(spec, config_hash, *t), tasks))
+
+def cmd_bench(opts: dict) -> int:
+    if opts["sweep"] is None:
+        raise InvalidSpec("bench requires --sweep r|k|sigma")
+    if not opts["grid"]:
+        raise InvalidSpec("bench requires --grid v1,v2,..., got no values")
+    for name in ("seeds", "threads"):
+        if opts[name] < 1:
+            raise InvalidSpec(f"{name} must be >= 1, got {opts[name]}")
+    # The config hash covers every option but where the outputs go and how
+    # many threads compute them, which do not change a row.
+    spec = {name: value for name, value in opts.items() if name not in ("threads", "out")}
+    spec["grid"] = grid = sorted(set(opts["grid"]))
+    config_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
+
+    tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(spec["seeds"])]
+    if opts["threads"] > 1:
+        with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
+            records = list(pool.map(lambda t: _bench_task(spec, config_hash, *t), tasks))
     else:
+        # Not a one-worker pool: the pool thread's own malloc arena raised the
+        # rlocal_sweep benchmark's peak RSS from 128 to 195 MB.
         records = [_bench_task(spec, config_hash, *t) for t in tasks]
     records.sort(key=lambda rec: (rec.sweep_value, rec.seed))
 
-    out = Path(_opt(args, config, "out", "sweep.csv"))
+    out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w") as fh:
         fh.write("sweep_value,seed,d_H_over_n,rel_error,iters,wall_ms\n")
@@ -352,14 +375,6 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------- validate-theory
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
 
 # What a suite spec may give for a check parameter, by the parameter's
 # annotation. The int parameters of the checks all count rows, columns, blocks
@@ -390,13 +405,21 @@ def _check_params(name: str, params: dict) -> None:
         raise InvalidSpec(f"check {name}: trials must be >= 1")
 
 
-def _suite_from_args(args, config: dict) -> list[tuple[str, dict]]:
+VALIDATE_OPTIONS = (
+    Option("checks", _NAMES, None, "comma-separated subset of checks (default: all)"),
+    Option("spec", _text, None, "JSON suite spec {'checks': [{'check', 'params'}]}"),
+    Option("trials", _count, None, "override trial count for every check"),
+    _SEED, Option("out", _text, "reports.json", "reports JSON"),
+)
+
+
+def _suite(opts: dict) -> list[tuple[str, dict]]:
     """The checks to run with their params, every name and value validated.
 
     A ``--spec`` file overrides default params by name; ``--trials`` overrides
     every check's trial count.
     """
-    spec_path = _opt(args, config, "spec", None, str)
+    spec_path = opts["spec"]
     if spec_path:
         payload = json.loads(Path(spec_path).read_text())
         entries = payload.get("checks") if isinstance(payload, dict) else None
@@ -412,27 +435,19 @@ def _suite_from_args(args, config: dict) -> list[tuple[str, dict]]:
                 raise InvalidSpec(f"check {name}: params must be an object, got {params!r}")
             suite.append((name, {**DEFAULT_SUITE[name], **params}))
     else:
-        names_text = _opt(args, config, "checks", None)
-        if names_text is not None and not isinstance(names_text, str):
-            raise InvalidSpec(f"checks must be comma-separated names, got {names_text!r}")
-        names = [n.strip() for n in names_text.split(",")] if names_text else list(DEFAULT_SUITE)
+        names = opts["checks"] or tuple(DEFAULT_SUITE)
         suite = [(_check_name(name), dict(DEFAULT_SUITE[name])) for name in names]
-    trials = _opt(args, config, "trials", None, int)
     for name, params in suite:
-        if trials is not None:
-            params["trials"] = trials
+        if opts["trials"] is not None:
+            params["trials"] = opts["trials"]
         _check_params(name, params)
     return suite
 
 
-def cmd_validate_theory(args) -> int:
-    config = _load_config(args.config)
-    suite = _suite_from_args(args, config)
-    seed = _opt(args, config, "seed", 0, int)
-
+def cmd_validate_theory(opts: dict) -> int:
     reports = []
-    for idx, (name, params) in enumerate(suite):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+    for idx, (name, params) in enumerate(_suite(opts)):
+        rng = np.random.default_rng(np.random.SeedSequence((opts["seed"], idx)))
         report = CHECK_FUNCS[name](rng=rng, **params)
         reports.append(report)
         status = "passed" if report.passed else "FAILED"
@@ -440,7 +455,7 @@ def cmd_validate_theory(args) -> int:
         print(f"check {name}: {status} empirical={report.empirical:.4g} "
               f"bound={bound_text} trials={report.trials}")
 
-    out = Path(_opt(args, config, "out", "reports.json"))
+    out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     print(f"wrote {out}")
@@ -449,85 +464,77 @@ def cmd_validate_theory(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: the function that runs it, its help line and its option table."""
+
+    run: Callable[[dict], int]
+    help: str
+    options: tuple[Option, ...]
+    positional: tuple[tuple[str, str], ...] = ()  # name and help of each positional argument
+
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a synthetic instance bundle", SYNTH_OPTIONS),
+    "ingest": Command(cmd_ingest, "turn a CSV file into an instance bundle", INGEST_OPTIONS,
+                      (("csv", "CSV file with a header row"),)),
+    "solve": Command(cmd_solve, "solve an instance bundle", SOLVE_OPTIONS,
+                     (("instance", "instance bundle directory"),)),
+    "bench": Command(cmd_bench, "Monte-Carlo sweep, CSV output", BENCH_OPTIONS),
+    "validate-theory": Command(cmd_validate_theory, "run the bound validation suite",
+                               VALIDATE_OPTIONS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unsense",
         description="Recover a signal and a structured permutation from permuted linear measurements.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p):
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--config", help="JSON config file (flags take precedence)")
-        p.add_argument("--threads", type=int, help="worker threads where supported")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic instance bundle")
-    p_synth.add_argument("--n", type=int)
-    p_synth.add_argument("--d", type=int)
-    p_synth.add_argument("--m", type=int)
-    p_synth.add_argument("--model", choices=("rlocal", "ksparse"))
-    p_synth.add_argument("--r", type=int, help="equal block size for rlocal")
-    p_synth.add_argument("--sizes", help="comma-separated block sizes for rlocal")
-    p_synth.add_argument("--k", type=int, help="shuffle count for ksparse")
-    p_synth.add_argument("--sigma", type=float)
-    p_synth.add_argument("--b-dist", dest="b_dist", choices=("gaussian", "uniform01"))
-    add_shared(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_ingest = sub.add_parser("ingest", help="turn a CSV file into an instance bundle")
-    p_ingest.add_argument("csv", help="CSV file with a header row")
-    p_ingest.add_argument("--targets", help="comma-separated target column names")
-    p_ingest.add_argument("--features", help="comma-separated feature column names")
-    p_ingest.add_argument("--block-cols", dest="block_cols",
-                          help="comma-separated blocking key columns")
-    p_ingest.add_argument("--decimals", type=int,
-                          help="decimals the blocking key is rounded to (default 0)")
-    add_shared(p_ingest)
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_solve = sub.add_parser("solve", help="solve an instance bundle")
-    p_solve.add_argument("instance", help="instance bundle directory")
-    p_solve.add_argument("--mode", choices=("rlocal", "ksparse"))
-    p_solve.add_argument("--epsilon", type=float)
-    p_solve.add_argument("--max-iters", dest="max_iters", type=int)
-    add_shared(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_bench = sub.add_parser("bench", help="Monte-Carlo sweep, CSV output")
-    p_bench.add_argument("--sweep", choices=("r", "k", "sigma"))
-    p_bench.add_argument("--grid", help="comma-separated sweep values")
-    p_bench.add_argument("--seeds", type=int, help="Monte-Carlo runs per grid point")
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--d", type=int)
-    p_bench.add_argument("--m", type=int)
-    p_bench.add_argument("--model", choices=("rlocal", "ksparse"),
-                         help="base model for sigma sweeps")
-    p_bench.add_argument("--r", type=int)
-    p_bench.add_argument("--k", type=int)
-    p_bench.add_argument("--sigma", type=float)
-    p_bench.add_argument("--b-dist", dest="b_dist", choices=("gaussian", "uniform01"))
-    p_bench.add_argument("--epsilon", type=float)
-    p_bench.add_argument("--max-iters", dest="max_iters", type=int)
-    add_shared(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_val = sub.add_parser("validate-theory", help="run the bound validation suite")
-    p_val.add_argument("--checks", help="comma-separated subset of checks")
-    p_val.add_argument("--spec", help="JSON suite spec {'checks': [{'check', 'params'}]}")
-    p_val.add_argument("--trials", type=int, help="override trial count for every check")
-    add_shared(p_val)
-    p_val.set_defaults(func=cmd_validate_theory)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional, help_text in command.positional:
+            p.add_argument(positional, help=help_text)
+        for opt in command.options:
+            shown = "" if opt.default in (None, ()) else f" (default {opt.default})"
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                           choices=opt.choices, help=opt.help + shown)
+        p.add_argument("--config", help="JSON config file of option values; flags take precedence")
     return parser
+
+
+def _resolve(args) -> dict:
+    """Flag > config file > default for each of the command's options, typed and checked.
+
+    A config key that names no option of the command is ``InvalidConfig``.
+    """
+    command = COMMANDS[args.command]
+    config = {}
+    if args.config:
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise InvalidConfig(f"config file {args.config} must hold a JSON object")
+    unknown = sorted(set(config) - {opt.name for opt in command.options})
+    if unknown:
+        raise InvalidConfig(f"{args.command} takes no config key {unknown[0]!r}")
+    values = {name: getattr(args, name) for name, _ in command.positional}
+    for opt in command.options:
+        value = getattr(args, opt.name)
+        if value is None:
+            value = config.get(opt.name)
+        typed = opt.default if value is None else opt.convert(opt.name, value)
+        if value is not None and opt.choices and typed not in opt.choices:
+            raise InvalidConfig(f"invalid value for {opt.name}: {value!r} "
+                                f"(choose from {', '.join(opt.choices)})")
+        values[opt.name] = typed
+    return values
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UnlabeledSensingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        return COMMANDS[args.command].run(_resolve(args))
+    except (UnlabeledSensingError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

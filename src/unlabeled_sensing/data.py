@@ -443,14 +443,25 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     truth_path = bundle / "truth.json"
     if truth_path.exists():
         truth = _read_json_object(truth_path)
-        if truth.get("partition") is not None:
-            partition = BlockPartition(tuple(truth["partition"]))
+        sizes = _truth_indices(truth, "partition")
+        if sizes is not None:
+            partition = BlockPartition(tuple(sizes))
             _check_rows("truth.json partition", partition.n, n)
-        if truth.get("permutation") is not None:
-            p_star = Permutation.from_list(truth["permutation"])
+        indices = _truth_indices(truth, "permutation")
+        if indices is not None:
+            p_star = Permutation.from_list(indices)
             _check_rows("truth.json permutation", p_star.n, n)
     return ProblemInstance(B=B, Y=Y, sigma=sigma, partition=partition,
                            p_star=p_star, y_star=y_star)
+
+
+def _truth_indices(truth: dict, key: str) -> list[int] | None:
+    """``truth[key]``: null, or a JSON list of non-negative integers (no booleans)."""
+    value = truth.get(key)
+    if value is not None and not (isinstance(value, list)
+                                  and all(type(v) is int and v >= 0 for v in value)):
+        raise InvalidConfig(f"truth.json {key} must be a list of non-negative integers")
+    return value
 
 
 def _check_rows(what: str, rows: int, n: int) -> None:

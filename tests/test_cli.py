@@ -1,6 +1,9 @@
+import importlib.util
 import inspect
 import json
 import math
+import string
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlabeled_sensing.cli import CHECK_FUNCS, main
+from unlabeled_sensing.cli import CHECK_FUNCS, COMMANDS, _resolve, build_parser, main
 
 
 def run(argv):
@@ -418,3 +421,174 @@ def test_bench_grid_with_no_values_is_usage_error(tmp_path, capsys):
                 "--d", 2, "--m", 1, "--out", out]) == 2
     assert "no values" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("partition", "abc"),
+    ("partition", [[1]]),
+    ("partition", [4.5, 4.5, 4.5]),
+    ("permutation", "abc"),
+    ("permutation", [0, True] + list(range(2, 12))),
+], ids=["partition-text", "partition-nested", "partition-fractional", "permutation-text",
+        "permutation-bool"])
+def test_solve_mistyped_truth_is_usage_error(tmp_path, capsys, key, value):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "truth.json", **{key: value})
+    assert main(["solve", str(bundle)]) == 2
+    assert f"truth.json {key} must be a list of non-negative integers" in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
+
+
+# ------------------------------------------------------------- option tables
+
+_SYNTH = ["synth", "--r", 4, "--d", 3, "--m", 2]
+_BENCH = ["bench", "--sweep", "r", "--grid", 2, "--n", 10, "--d", 2, "--m", 1]
+BAD_CONFIGS = [
+    (["validate-theory", "--checks", "chi2"], {"trials": 10.5}, "invalid value for trials"),
+    (_SYNTH, {"n": 12.9}, "invalid value for n"),
+    (_BENCH, {"seeds": True}, "invalid value for seeds"),
+    (_SYNTH + ["--n", 12], {"out": 5}, "invalid value for out"),
+    (["solve", "BUNDLE"], {"out": 5}, "invalid value for out"),
+    (_BENCH + ["--seeds", 1], {"out": 5}, "invalid value for out"),
+    (["solve", "BUNDLE"], {"max_iter": 5}, "solve takes no config key 'max_iter'"),
+    (_SYNTH + ["--n", 12], {"threads": 2}, "synth takes no config key 'threads'"),
+    (_BENCH + ["--seeds", 1], {"model": "dense"}, "invalid value for model"),
+]
+
+
+@pytest.mark.parametrize("argv,payload,message", BAD_CONFIGS,
+                         ids=[f"{a[0]}-{json.dumps(p)}" for a, p, _ in BAD_CONFIGS])
+def test_mistyped_or_unknown_config_value_is_usage_error(tmp_path, capsys, argv, payload,
+                                                         message):
+    # each argv exits 0 with an empty config file
+    if "BUNDLE" in argv:
+        argv = [_small_bundle(tmp_path) if a == "BUNDLE" else a for a in argv]
+    if "out" not in payload:
+        argv = argv + ["--out", tmp_path / "out"]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(argv + ["--config", config]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "bundle", "--threads", "2"],
+    ["solve", "bundle", "--seed", "1"],
+    ["synth", "--threads", "2"],
+    ["ingest", "data.csv", "--threads", "2"],
+    ["validate-theory", "--threads", "2"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_flag_a_command_ignores_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bench_ledger_hash_is_pinned_and_config_file_matches_flags(tmp_path):
+    flags = {"sweep": "r", "grid": "5,2", "seeds": 2, "n": 40, "d": 3, "m": 2, "seed": 4}
+    argv = ["bench"] + [a for key, value in flags.items() for a in (f"--{key}", value)]
+    assert run(argv + ["--out", tmp_path / "flags.csv"]) == 0
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({**flags, "grid": [5, 2]}))
+    assert run(["bench", "--config", config, "--out", tmp_path / "config.csv"]) == 0
+
+    def ledger(name):
+        records = [json.loads(line)
+                   for line in (tmp_path / f"{name}_runs.jsonl").read_text().splitlines()]
+        for rec in records:
+            del rec["wall_ms"]
+        return records
+
+    from_flags = ledger("flags")
+    assert len(from_flags) == 4
+    assert {rec["config_hash"] for rec in from_flags} == {"a5745a36f56df1af"}
+    assert ledger("config") == from_flags
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py`` imported by path; the benchmark is not a package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_benchmark_workloads()))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_benchmark_command_lines_parse_and_resolve(tmp_path, name, threads):
+    workload = _benchmark_workloads()[name](1, tmp_path)
+    workload.bundle = tmp_path / "bundle"  # where set-up writes the bundle_solve input
+    opts = _resolve(build_parser().parse_args(workload.argv(0, threads)))
+    if workload.threads_flag:
+        assert opts["threads"] == threads
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_option_of_the_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for opt in COMMANDS[command].options:
+        assert f"--{opt.name.replace('_', '-')}" in text
+    assert "--config" in text
+
+
+# Values that no option of synth or bench may take; no digits in text, so none
+# parses as a number.
+_JUNK = st.recursive(
+    st.one_of(st.booleans(), st.integers(-3, -1),
+              st.floats(-50, 50).filter(lambda v: not v.is_integer()),
+              st.text(string.ascii_letters + " ,", max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4)
+_GRID = st.lists(st.one_of(st.integers(0, 30), st.floats(0, 1)), min_size=1, max_size=3)
+# Values of the right type and range per option name, small enough that every
+# run is quick. They can still clash, say an r that does not divide n.
+_VALUES = {
+    "n": st.integers(1, 30), "d": st.integers(1, 4), "m": st.integers(1, 3),
+    "r": st.integers(1, 30), "k": st.integers(0, 30),
+    "sizes": st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.just("4,8")),
+    "model": st.sampled_from(["rlocal", "ksparse"]),
+    "b_dist": st.sampled_from(["gaussian", "uniform01"]),
+    "sigma": st.floats(0, 1), "epsilon": st.floats(1e-3, 1), "seed": st.integers(0, 2 ** 40),
+    "sweep": st.sampled_from(["r", "k", "sigma"]),
+    "grid": st.one_of(_GRID, _GRID.map(lambda values: ",".join(map(str, values)))),
+    "seeds": st.integers(1, 3), "max_iters": st.integers(1, 20),
+    "threads": st.sampled_from([-1, 0, 1, 2]), "out": st.just("elsewhere"),
+}
+# n, seeds and max_iters are always set, so no run falls back to a large
+# default; sweep and grid are always set, so most bench runs get to solve.
+_REQUIRED = {"synth": (), "bench": ("sweep", "grid", "n", "seeds", "max_iters")}
+
+
+def _config_for(command):
+    """A config object: the command's options, mostly valid; one in eight junk."""
+    names = [opt.name for opt in COMMANDS[command].options]
+    junk_names = [name for name in ("threads", "max_iter", "N", "config", "")
+                  if name not in names]
+    options = st.fixed_dictionaries(
+        {name: _or_junk(_VALUES[name], _JUNK) for name in _REQUIRED[command]},
+        optional={name: _or_junk(_VALUES[name], st.one_of(_JUNK, st.none()))
+                  for name in names if name not in _REQUIRED[command]})
+    unknown = _or_junk(st.just({}), st.dictionaries(st.sampled_from(junk_names), _JUNK,
+                                                    min_size=1, max_size=1))
+    return st.tuples(options, unknown).map(lambda pair: {**pair[0], **pair[1]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_config_file_exit_code_is_0_1_or_2(command, data):
+    payload = data.draw(_config_for(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "conf.json"
+        config.write_text(json.dumps(payload))
+        code = run([command, "--config", config, "--out", Path(tmp) / "out"])
+    assert code in (0, 1, 2)

@@ -7,7 +7,7 @@ started from a model-specific initialization. It also ships an experiment
 harness and Monte-Carlo validators for the initialization error bounds.
 """
 
-from .collapse import CollapsedSystem, build_collapsed, init_ksparse, init_rlocal
+from .collapse import CollapsedSystem, build_collapsed, init_rlocal
 from .data import (BlockRule, EvalMetrics, ProblemInstance, SynthConfig,
                    evaluate, generate, ingest_csv, load_bundle, oracle_and_naive,
                    save_bundle)
@@ -19,7 +19,7 @@ from .linalg import (SvdFactors, extreme_singular_values, pinv_solve,
                      row_space_projector, svd)
 from .permutation import (BlockPartition, KSparse, Permutation,
                           PermutationModel, RLocal, apply, hamming_distortion,
-                          offdiagonal_count, sample_ksparse, sample_rlocal)
+                          sample_ksparse, sample_rlocal)
 from .solver import (SolveResult, SolverConfig, objective, permutation_update,
                      relative_change, signal_update, solve)
 from .theory import (BoundReport, check_lemma1, check_lemma2, check_lemma4,

@@ -65,7 +65,10 @@ def _is_count(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # int/float comparison is exact, so NaN, the infinities and integers beyond
+    # the float range all fail it without an OverflowError.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _scalar(kind, accepts) -> Callable[[str, object], object]:
@@ -75,7 +78,7 @@ def _scalar(kind, accepts) -> Callable[[str, object], object]:
             typed = kind(value) if isinstance(value, str) else value
             if accepts(typed):
                 return kind(typed)
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
         raise InvalidConfig(f"invalid value for {name}: {value!r}")
     return convert
@@ -331,6 +334,9 @@ def cmd_bench(opts: dict) -> int:
     for name in ("seeds", "threads"):
         if opts[name] < 1:
             raise InvalidSpec(f"{name} must be >= 1, got {opts[name]}")
+    if opts["sweep"] in ("r", "k") and not all(v.is_integer() for v in opts["grid"]):
+        raise InvalidSpec(
+            f"{opts['sweep']} grid values must be whole numbers, got {list(opts['grid'])}")
     # The config hash covers every option but where the outputs go and how
     # many threads compute them, which do not change a row.
     spec = {name: value for name, value in opts.items() if name not in ("threads", "out")}

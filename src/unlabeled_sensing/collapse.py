@@ -1,4 +1,4 @@
-"""Collapsed linear system and the two model-specific initializations.
+"""Collapsed linear system and the r-local initialization.
 
 Summing measurement rows within each block of an r-local permutation cancels
 the unknown block shuffles, leaving one labelled equation per block:
@@ -7,7 +7,8 @@ the unknown block shuffles, leaving one labelled equation per block:
 
 so B_tilde @ X_true == Y_tilde holds noiselessly regardless of the block-local
 permutation. The r-local initialization is the minimum-norm solution of that
-s x d system; the k-sparse initialization is simply the identity permutation.
+s x d system. The k-sparse start is the identity permutation, which
+``solver.solve`` takes directly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .linalg import as_matrix, pinv_solve
-from .permutation import BlockPartition, Permutation
+from .permutation import BlockPartition
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +57,3 @@ def init_rlocal(sys: CollapsedSystem) -> np.ndarray:
     signal onto the row space of ``B_tilde``.
     """
     return pinv_solve(sys.B_tilde, sys.Y_tilde)
-
-
-def init_ksparse(Y) -> tuple[Permutation, np.ndarray]:
-    """Identity-permutation start: P0 = I and the first fitted measurements are Y itself."""
-    Y = np.asarray(Y, dtype=np.float64)
-    return Permutation.identity(Y.shape[0]), Y

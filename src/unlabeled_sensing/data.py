@@ -393,12 +393,11 @@ def model_from_dict(payload) -> PermutationModel | None:
     variant = payload["variant"]
     if variant not in ("rlocal", "ksparse"):
         raise InvalidConfig(f"unknown model variant {variant!r}")
-    try:
-        value = (tuple(int(s) for s in payload["sizes"]) if variant == "rlocal"
-                 else int(payload["k"]))
-    except (KeyError, TypeError, ValueError):
-        raise InvalidConfig(f"malformed {variant} model {payload!r}") from None
-    return RLocal(BlockPartition(value)) if variant == "rlocal" else KSparse(value)
+    key, accepts = ("sizes", _is_index_list) if variant == "rlocal" else ("k", _is_index)
+    value = payload.get(key)
+    if not accepts(value):
+        raise InvalidConfig(f"malformed {variant} model {payload!r}")
+    return RLocal(BlockPartition(tuple(value))) if variant == "rlocal" else KSparse(value)
 
 
 def save_bundle(instance: ProblemInstance, out_dir,
@@ -455,11 +454,19 @@ def load_bundle(bundle_dir) -> ProblemInstance:
                            p_star=p_star, y_star=y_star)
 
 
+def _is_index(value) -> bool:
+    """A non-negative JSON integer; booleans are refused."""
+    return type(value) is int and value >= 0
+
+
+def _is_index_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_index, value))
+
+
 def _truth_indices(truth: dict, key: str) -> list[int] | None:
     """``truth[key]``: null, or a JSON list of non-negative integers (no booleans)."""
     value = truth.get(key)
-    if value is not None and not (isinstance(value, list)
-                                  and all(type(v) is int and v >= 0 for v in value)):
+    if value is not None and not _is_index_list(value):
         raise InvalidConfig(f"truth.json {key} must be a list of non-negative integers")
     return value
 

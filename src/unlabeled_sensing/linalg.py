@@ -54,9 +54,6 @@ class SvdFactors:
     def rank(self) -> int:
         return int(np.count_nonzero(self.S > self.rank_tol))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
-
     def solve(self, Y) -> np.ndarray:
         """Minimum-norm least-squares solve ``X = pinv(A) @ Y`` from these factors.
 

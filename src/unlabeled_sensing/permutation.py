@@ -42,21 +42,6 @@ class Permutation:
         inv[self.map] = np.arange(self.n)
         return Permutation(inv)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Composition so that apply(p, apply(q, A)) == apply(p.compose(q), A)."""
-        if self.n != other.n:
-            raise ShapeMismatch(f"cannot compose permutations of sizes {self.n} and {other.n}")
-        return Permutation(other.map[self.map])
-
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 permutation matrix P with P[i, map[i]] = 1."""
-        P = np.zeros((self.n, self.n))
-        P[np.arange(self.n), self.map] = 1.0
-        return P
-
-    def fixed_points(self) -> int:
-        return int(np.count_nonzero(self.map == np.arange(self.n)))
-
     def to_list(self) -> list[int]:
         return [int(i) for i in self.map]
 
@@ -66,10 +51,6 @@ class Permutation:
     @classmethod
     def from_list(cls, indices) -> "Permutation":
         return cls(np.asarray(list(indices), dtype=np.intp))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Permutation":
-        return cls.from_list(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -173,8 +154,3 @@ def hamming_distortion(p: Permutation, q: Permutation) -> int:
     if p.n != q.n:
         raise ShapeMismatch(f"permutations have different sizes {p.n} and {q.n}")
     return int(np.count_nonzero(p.map != q.map))
-
-
-def offdiagonal_count(p: Permutation) -> int:
-    """Displaced-row count n - <I, P>, equal to hamming_distortion(identity, p)."""
-    return p.n - p.fixed_points()

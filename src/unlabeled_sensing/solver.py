@@ -7,7 +7,9 @@ assignment to the blocks of a partition and starts from the collapsed-system
 solution; mode "ksparse" searches all permutations and starts from the
 identity. Both half-steps are exact minimizers, so the recorded objective
 trace is nonincreasing. ``B`` is factored once per instance
-(``ProblemInstance.b_svd``) and every signal update reuses that factor.
+(``ProblemInstance.b_svd``) and every signal update reuses that factor. The
+public half-steps ``permutation_update``, ``signal_update`` and ``objective``
+validate their input and run the same private steps as the loop.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_blockwise, solve_lap
-from .collapse import build_collapsed, init_ksparse, init_rlocal
+from .collapse import build_collapsed, init_rlocal
 from .data import ProblemInstance
 from .errors import InvalidConfig, ShapeMismatch, TooFewIterations
-from .linalg import as_matrix, pinv_solve
+from .linalg import SvdFactors, as_matrix, svd
 from .permutation import BlockPartition, Permutation, apply
 
 MODES = ("rlocal", "ksparse")
@@ -58,26 +60,39 @@ class SolveResult:
         return float(self.objective_trace[-1])
 
 
-def objective(B, Y, p: Permutation, X) -> float:
-    """Forward error ||Y - P B X||_F^2."""
-    B = as_matrix(B, "B")
-    Y = as_matrix(Y, "Y")
-    X = as_matrix(X, "X")
-    if B.shape[1] != X.shape[0] or Y.shape[1] != X.shape[1] or B.shape[0] != Y.shape[0]:
-        raise ShapeMismatch(
-            f"inconsistent shapes B {B.shape}, X {X.shape}, Y {Y.shape}")
-    diff = Y - apply(p, B @ X)
+def _objective_from_fit(Y: np.ndarray, y_fit: np.ndarray, p: Permutation) -> float:
+    """Forward error ||Y - P y_fit||_F^2 given the fitted measurements y_fit = B @ X."""
+    diff = Y - apply(p, y_fit)
     return float(np.sum(diff * diff))
 
 
-def _update_from_fit(Y: np.ndarray, y_fit: np.ndarray,
-                     partition: BlockPartition | None) -> Permutation:
+def _assign(Y: np.ndarray, y_fit: np.ndarray,
+            partition: BlockPartition | None) -> Permutation:
     """Assignment step given the current fitted measurements y_fit = B @ X."""
     if partition is None:
         p, _ = solve_lap(Y @ y_fit.T)
         return p
     blocks = [Y[sl] @ y_fit[sl].T for sl in partition.slices()]
     return solve_blockwise(blocks, partition)
+
+
+def _signal(b_svd: SvdFactors, Y: np.ndarray, p: Permutation) -> np.ndarray:
+    """Least-squares step pinv(B) @ P^T Y from the factors of B."""
+    return b_svd.solve(apply(p.inverse(), Y))
+
+
+def _matrices(B, Y, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B, Y and X as finite matrices whose shapes fit Y ~ P B X."""
+    B, Y, X = as_matrix(B, "B"), as_matrix(Y, "Y"), as_matrix(X, "X")
+    if B.shape[1] != X.shape[0] or Y.shape[1] != X.shape[1] or B.shape[0] != Y.shape[0]:
+        raise ShapeMismatch(f"inconsistent shapes B {B.shape}, X {X.shape}, Y {Y.shape}")
+    return B, Y, X
+
+
+def objective(B, Y, p: Permutation, X) -> float:
+    """Forward error ||Y - P B X||_F^2."""
+    B, Y, X = _matrices(B, Y, X)
+    return _objective_from_fit(Y, B @ X, p)
 
 
 def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Permutation:
@@ -87,23 +102,15 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
     rewards Y_i @ (B X)_i^T; without one it is a single dense assignment on
     Y @ (B X)^T.
     """
-    B = as_matrix(B, "B")
-    Y = as_matrix(Y, "Y")
-    X = as_matrix(X, "X")
-    if B.shape[1] != X.shape[0] or B.shape[0] != Y.shape[0]:
-        raise ShapeMismatch(f"inconsistent shapes B {B.shape}, X {X.shape}, Y {Y.shape}")
+    B, Y, X = _matrices(B, Y, X)
     if partition is not None and partition.n != Y.shape[0]:
         raise ShapeMismatch(f"partition covers {partition.n} rows but Y has {Y.shape[0]}")
-    return _update_from_fit(Y, B @ X, partition)
+    return _assign(Y, B @ X, partition)
 
 
 def signal_update(B, Y, p: Permutation) -> np.ndarray:
-    """Exact least-squares update pinv(B) @ P^T Y, equal to pinv(P B) @ Y.
-
-    Factors ``B`` on every call; ``solve`` instead applies the instance's one
-    cached factor (``ProblemInstance.b_svd``) to ``P^T Y`` each iteration.
-    """
-    return pinv_solve(B, apply(p.inverse(), Y))
+    """Exact least-squares update pinv(B) @ P^T Y, equal to pinv(P B) @ Y."""
+    return _signal(svd(B), Y, p)
 
 
 def relative_change(trace) -> float:
@@ -128,55 +135,41 @@ def _resolve_partition(instance: ProblemInstance, config: SolverConfig) -> Block
     return partition
 
 
-def solve(instance: ProblemInstance, config: SolverConfig,
-          x0: np.ndarray | None = None,
-          p0: Permutation | None = None) -> SolveResult:
+def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
     """Run the alternating minimization until the relative objective change
     falls below epsilon (or the objective hits the exact-fit floor), capped at
     max_iters.
 
-    ``x0``/``p0`` warm-start the loop in place of the model initialization;
-    ``x0`` must be d x m.
-    One iteration is one permutation update followed by one signal update; the
-    trace records the objective after each full iteration. Hitting the
-    iteration cap is reported via ``converged=False``, not an error.
+    The first permutation is the assignment against the collapsed-system fit
+    (rlocal) or the identity (ksparse). One iteration is one signal update
+    followed by the objective, the stop test and, when the loop goes on, one
+    permutation update; the trace records the objective of each iteration.
+    Hitting the iteration cap is reported via ``converged=False``, not an error.
     """
     B, Y = instance.B, instance.Y
-    partition = _resolve_partition(instance, config) if config.mode == "rlocal" else None
-
-    if x0 is not None:
-        x_hat = as_matrix(x0, "x0")
-        if x_hat.shape != (B.shape[1], Y.shape[1]):
-            raise ShapeMismatch(
-                f"x0 must have shape {(B.shape[1], Y.shape[1])}, got {x_hat.shape}")
-        y_fit = B @ x_hat
-    elif p0 is not None:
-        x_hat = instance.b_svd.solve(apply(p0.inverse(), Y))
-        y_fit = B @ x_hat
-    elif config.mode == "rlocal":
-        x_hat = init_rlocal(build_collapsed(B, Y, partition))
-        y_fit = B @ x_hat
+    # Factor B before the first assignment: factoring it after the r-local
+    # blockwise assignment raised the rlocal_sweep peak RSS from 127 to 133 MB.
+    b_svd = instance.b_svd
+    if config.mode == "rlocal":
+        partition = _resolve_partition(instance, config)
+        p_hat = _assign(Y, B @ init_rlocal(build_collapsed(B, Y, partition)), partition)
     else:
-        _, y_fit = init_ksparse(Y)
-        x_hat = None
+        # The first reward would be Y Y^T, and by Cauchy-Schwarz every maximizer
+        # has P^T Y = Y: the identity is an exact first step.
+        partition = None
+        p_hat = Permutation.identity(instance.n)
 
-    b_svd = instance.b_svd  # the one factorization of B, shared with scoring
     zero_floor = ZERO_FLOOR_REL * float(np.sum(Y * Y))
     trace: list[float] = []
-    converged = False
-    p_hat = Permutation.identity(instance.n)
-    for _ in range(config.max_iters):
-        p_hat = _update_from_fit(Y, y_fit, partition)
-        x_hat = b_svd.solve(apply(p_hat.inverse(), Y))
+    while True:
+        x_hat = _signal(b_svd, Y, p_hat)
         y_fit = B @ x_hat
-        diff = Y - y_fit[p_hat.map]
-        trace.append(float(np.sum(diff * diff)))
-        if trace[-1] <= zero_floor:
-            converged = True
+        trace.append(_objective_from_fit(Y, y_fit, p_hat))
+        converged = trace[-1] <= zero_floor or (
+            len(trace) >= 2 and relative_change(trace) <= config.epsilon)
+        if converged or len(trace) == config.max_iters:
             break
-        if len(trace) >= 2 and relative_change(trace) <= config.epsilon:
-            converged = True
-            break
+        p_hat = _assign(Y, y_fit, partition)
     return SolveResult(
         p_hat=p_hat,
         x_hat=x_hat,

@@ -134,6 +134,15 @@ def test_bench_invalid_spec(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sweep", ["r", "k"])
+def test_bench_fractional_block_size_or_shuffle_count_is_usage_error(tmp_path, capsys, sweep):
+    out = tmp_path / "sweep.csv"
+    assert run(["bench", "--sweep", sweep, "--grid", "2.5", "--seeds", 1,
+                "--n", 10, "--d", 2, "--m", 1, "--out", out]) == 2
+    assert f"{sweep} grid values must be whole numbers, got [2.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_config_grid_accepts_json_list(tmp_path):
     argv = ["bench", "--sweep", "r", "--seeds", "2", "--n", 20, "--d", 3, "--m", 2,
             "--sigma", 0.05, "--seed", 4]
@@ -165,6 +174,19 @@ def test_solve_meta_model_without_variant_is_usage_error(tmp_path, capsys):
     (bundle / "meta.json").write_text(json.dumps(meta))
     assert run(["solve", bundle]) == 2
     assert "variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"variant": "ksparse", "k": 2.7},
+    {"variant": "ksparse", "k": True},
+    {"variant": "rlocal", "sizes": [2.7, 4, 5.3]},
+], ids=["k-fractional", "k-bool", "sizes-fractional"])
+def test_solve_meta_model_of_non_integers_is_usage_error(tmp_path, capsys, model):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "meta.json", model=model)
+    assert run(["solve", bundle]) == 2
+    assert f"malformed {model['variant']} model" in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
 
 
 def test_ingest_then_solve(tmp_path, capsys):
@@ -281,6 +303,16 @@ def test_validate_theory_malformed_suite_is_usage_error(tmp_path, capsys, flag, 
     out = tmp_path / "r.json"
     assert run(["validate-theory", f"--{flag}", path, "--seed", 1, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_theory_integer_beyond_float_range_is_usage_error(tmp_path, capsys):
+    spec = tmp_path / "suite.json"
+    spec.write_text('{"checks": [{"check": "chi2", "params": {"t": 1%s, "trials": 10}}]}'
+                    % ("0" * 400))
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", "--spec", spec, "--seed", 1, "--out", out]) == 2
+    assert "check chi2: invalid value for t" in capsys.readouterr().err
     assert not out.exists()
 
 

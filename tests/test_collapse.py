@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from unlabeled_sensing.collapse import build_collapsed, init_ksparse, init_rlocal
+from unlabeled_sensing.collapse import build_collapsed, init_rlocal
 from unlabeled_sensing.errors import ShapeMismatch
 from unlabeled_sensing.linalg import row_space_projector
-from unlabeled_sensing.permutation import (BlockPartition, apply,
-                                           hamming_distortion, sample_ksparse,
-                                           sample_rlocal)
+from unlabeled_sensing.permutation import BlockPartition, apply, sample_rlocal
 
 
 def test_size_one_blocks_are_a_no_op():
@@ -95,19 +93,3 @@ def test_init_improves_with_more_blocks():
             errs.append(np.linalg.norm(x_star - x_hat) / np.linalg.norm(x_star))
         means[s] = np.mean(errs)
     assert means[45] < means[15]
-
-
-def test_init_ksparse_identity_and_value_equality():
-    rng = np.random.default_rng(5)
-    Y = rng.standard_normal((9, 2))
-    p0, y0 = init_ksparse(Y)
-    assert p0.fixed_points() == 9
-    np.testing.assert_array_equal(y0, Y)
-
-
-def test_init_ksparse_distance_to_truth_is_k():
-    rng = np.random.default_rng(6)
-    for k in (0, 2, 5, 9):
-        p_star = sample_ksparse(9, k, rng)
-        p0, _ = init_ksparse(np.zeros((9, 1)))
-        assert hamming_distortion(p0, p_star) == k

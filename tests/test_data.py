@@ -10,8 +10,8 @@ from unlabeled_sensing.data import (BlockRule, SynthConfig, evaluate, generate,
                                     save_bundle, write_matrix_csv)
 from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonNumeric,
                                       ParseError)
-from unlabeled_sensing.permutation import (BlockPartition, KSparse, RLocal,
-                                           apply, hamming_distortion)
+from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
+                                           RLocal, apply, hamming_distortion)
 
 
 def toy_csv(tmp_path, name="toy.csv"):
@@ -36,7 +36,7 @@ def test_generate_noiseless_identity_model():
     inst = generate(SynthConfig(n=20, d=4, m=3, model=KSparse(0), sigma=0.0, seed=0))
     np.testing.assert_array_equal(inst.Y, inst.B @ inst.x_star)
     np.testing.assert_array_equal(inst.y_star, inst.B @ inst.x_star)
-    assert inst.p_star.fixed_points() == 20
+    assert hamming_distortion(Permutation.identity(20), inst.p_star) == 0
 
 
 def test_generate_deterministic_per_seed():

@@ -6,8 +6,7 @@ import pytest
 from unlabeled_sensing.errors import InvalidConfig, InvalidK, ShapeMismatch
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            apply, hamming_distortion,
-                                           offdiagonal_count, sample_ksparse,
-                                           sample_rlocal)
+                                           sample_ksparse, sample_rlocal)
 
 
 def test_permutation_validates_bijection():
@@ -33,7 +32,7 @@ def test_apply_matches_matrix_form():
     rng = np.random.default_rng(0)
     p = Permutation(rng.permutation(6))
     A = rng.standard_normal((6, 3))
-    np.testing.assert_allclose(apply(p, A), p.matrix() @ A)
+    np.testing.assert_allclose(apply(p, A), np.eye(6)[p.map] @ A)
 
 
 def test_inverse_composition_roundtrip():
@@ -44,16 +43,6 @@ def test_inverse_composition_roundtrip():
         A = rng.standard_normal((n, 2))
         np.testing.assert_array_equal(apply(p, apply(p.inverse(), A)), A)
         np.testing.assert_array_equal(apply(p.inverse(), apply(p, A)), A)
-
-
-def test_composition_consistency():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(2, 10))
-        p = Permutation(rng.permutation(n))
-        q = Permutation(rng.permutation(n))
-        A = rng.standard_normal((n, 3))
-        np.testing.assert_array_equal(apply(p, apply(q, A)), apply(p.compose(q), A))
 
 
 def test_partition_validation_and_offsets():
@@ -76,7 +65,7 @@ def test_sample_rlocal_size_one_blocks_is_identity():
     rng = np.random.default_rng(3)
     part = BlockPartition((1,) * 8)
     for _ in range(20):
-        assert sample_rlocal(part, rng).fixed_points() == 8
+        assert hamming_distortion(Permutation.identity(8), sample_rlocal(part, rng)) == 0
 
 
 def test_sample_rlocal_never_crosses_blocks():
@@ -102,7 +91,7 @@ def test_sample_rlocal_two_by_two_uniform():
 
 def test_sample_ksparse_trivial_cases():
     rng = np.random.default_rng(6)
-    assert sample_ksparse(5, 0, rng).fixed_points() == 5
+    assert hamming_distortion(Permutation.identity(5), sample_ksparse(5, 0, rng)) == 0
     assert sample_ksparse(2, 2, rng).to_list() == [1, 0]
 
 
@@ -133,7 +122,6 @@ def test_sample_ksparse_exact_displacement_spot_checks():
                 continue
             for _ in range(25):
                 p = sample_ksparse(n, k, rng)
-                assert p.fixed_points() == n - k
                 assert hamming_distortion(Permutation.identity(n), p) == k
 
 
@@ -161,20 +149,10 @@ def test_hamming_distortion_is_a_metric_never_one():
         assert d_pq <= hamming_distortion(p, r) + hamming_distortion(r, q)
 
 
-def test_offdiagonal_count_matches_hamming():
-    rng = np.random.default_rng(12)
-    assert offdiagonal_count(Permutation.identity(6)) == 0
-    assert offdiagonal_count(Permutation(np.array([3, 2, 1, 0]))) == 4
-    for _ in range(100):
-        n = int(rng.integers(1, 15))
-        p = Permutation(rng.permutation(n))
-        assert offdiagonal_count(p) == hamming_distortion(Permutation.identity(n), p)
-
-
 def test_json_serialization_roundtrip():
     import json
 
     rng = np.random.default_rng(13)
     p = Permutation(rng.permutation(7))
-    assert Permutation.from_json(p.to_json()).to_list() == p.to_list()
+    assert Permutation.from_list(json.loads(p.to_json())).to_list() == p.to_list()
     assert json.loads(p.to_json()) == p.to_list()

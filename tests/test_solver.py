@@ -3,7 +3,9 @@ import pytest
 
 from _oracles import brute_force_lap, brute_force_min_objective, reference_solve
 from unlabeled_sensing import data, linalg
+from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.cli import _result_metrics
+from unlabeled_sensing.collapse import build_collapsed, init_rlocal
 from unlabeled_sensing.data import SynthConfig, generate
 from unlabeled_sensing.errors import InvalidConfig, ShapeMismatch, TooFewIterations
 from unlabeled_sensing.linalg import pinv_solve
@@ -194,26 +196,6 @@ def test_solve_trace_monotone_and_block_diagonal():
                 assert block.min() >= sl.start and block.max() < sl.stop
 
 
-def test_solve_warm_start_is_a_fixed_point():
-    rng = np.random.default_rng(11)
-    part = BlockPartition.equal_blocks(20, 5)
-    inst = generate(SynthConfig(n=20, d=4, m=2, model=RLocal(part), sigma=0.2,
-                                seed=int(rng.integers(0, 2**31))))
-    config = SolverConfig(mode="rlocal", partition=part)
-    first = solve(inst, config)
-    again = solve(inst, config, x0=first.x_hat)
-    floor = 1e-9 * max(first.objective_trace[0], 1.0)
-    assert again.final_objective >= first.final_objective - floor
-
-
-def test_solve_warm_start_from_permutation():
-    part = BlockPartition.equal_blocks(12, 4)
-    inst = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), seed=5))
-    result = solve(inst, SolverConfig(mode="rlocal", partition=part), p0=inst.p_star)
-    assert result.converged
-    assert result.final_objective <= 1e-10 * np.sum(inst.Y ** 2)
-
-
 def test_solve_reports_cap_via_converged_flag():
     # one iteration cap on a noisy instance cannot satisfy the epsilon rule
     part = BlockPartition.equal_blocks(30, 10)
@@ -230,14 +212,20 @@ def test_solve_rlocal_uses_instance_partition_by_default():
     assert result.converged
 
 
-def test_solve_rejects_x0_of_wrong_shape():
-    part = BlockPartition.equal_blocks(12, 4)
-    inst = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), seed=5))
-    config = SolverConfig(mode="rlocal", partition=part)
-    for bad in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)).T):
-        with pytest.raises(ShapeMismatch):
-            solve(inst, config, x0=bad)
-    assert solve(inst, config, x0=np.zeros((3, 2))).iters >= 1
+def test_solve_ksparse_first_step_is_identity_without_assignment():
+    # Every row of Y has an exact twin, so Y Y^T has tied maximizers and the
+    # LAP picks a non-identity one; each of them has P^T Y = Y, so the first
+    # signal estimate is the same and solve takes the identity without a LAP.
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((12, 3))
+    Y = rng.standard_normal((12, 2))
+    Y[6:] = Y[:6]
+    assert not np.array_equal(solve_lap(Y @ Y.T)[0].map, np.arange(12))
+    inst = data.ProblemInstance(B=B, Y=Y)
+    result = solve(inst, SolverConfig(mode="ksparse", max_iters=1))
+    assert np.array_equal(result.p_hat.map, np.arange(12))
+    _, x_ref, _ = reference_solve(B, Y, None, max_iters=1)
+    assert result.x_hat.tobytes() == x_ref.tobytes()
 
 
 # ------------------------------------------------------------- reference loop
@@ -267,6 +255,21 @@ def test_solve_matches_reference_loop_bitwise(name):
         assert np.array_equal(result.p_hat.map, p_map)
         assert result.x_hat.tobytes() == x_ref.tobytes()
         assert result.objective_trace.tobytes() == trace_ref.tobytes()
+        # The public half-steps, from the same first permutation, replay the loop.
+        if inst.partition is not None:
+            x = init_rlocal(build_collapsed(inst.B, inst.Y, inst.partition))
+            p = permutation_update(inst.B, inst.Y, x, inst.partition)
+        else:
+            p = Permutation.identity(inst.n)
+        trace = []
+        for it in range(result.iters):
+            if it:
+                p = permutation_update(inst.B, inst.Y, x, inst.partition)
+            x = signal_update(inst.B, inst.Y, p)
+            trace.append(objective(inst.B, inst.Y, p, x))
+        assert np.array_equal(result.p_hat.map, p.map)
+        assert result.x_hat.tobytes() == x.tobytes()
+        assert result.objective_trace.tobytes() == np.asarray(trace).tobytes()
     assert result.iters >= 2
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import theory
 from .data import (BlockRule, ProblemInstance, SynthConfig, evaluate, generate,
-                   ingest_csv, load_bundle, load_bundle_meta, model_from_dict,
-                   oracle_and_naive, save_bundle, write_matrix_csv)
+                   ingest_csv, is_count, is_real, load_bundle, oracle_and_naive,
+                   save_bundle, write_matrix_csv)
 from .errors import InvalidConfig, InvalidSpec, UnlabeledSensingError
 from .permutation import BlockPartition, KSparse, RLocal, hamming_distortion
 from .solver import SolverConfig, solve
@@ -56,21 +56,6 @@ DEFAULT_SUITE = {
 
 # ---------------------------------------------------------------- options
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _is_real(value) -> bool:
-    # int/float comparison is exact, so NaN, the infinities and integers beyond
-    # the float range all fail it without an OverflowError.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _scalar(kind, accepts) -> Callable[[str, object], object]:
     """Converter to ``kind``: a flag string is parsed, then ``accepts`` must hold."""
     def convert(name: str, value):
@@ -84,9 +69,9 @@ def _scalar(kind, accepts) -> Callable[[str, object], object]:
     return convert
 
 
-_int = _scalar(int, _is_int)
-_count = _scalar(int, _is_count)
-_real = _scalar(float, _is_real)
+_int = _scalar(int, lambda value: type(value) is int)
+_count = _scalar(int, is_count)
+_real = _scalar(float, is_real)
 _text = _scalar(str, lambda value: isinstance(value, str))
 
 
@@ -194,6 +179,11 @@ def cmd_ingest(opts: dict) -> int:
 
 # ---------------------------------------------------------------- solve
 
+def _mode(instance: ProblemInstance) -> str:
+    """The solver mode of an instance: r-local exactly when it has a row partition."""
+    return "ksparse" if instance.partition is None else "rlocal"
+
+
 def _result_metrics(instance: ProblemInstance, result) -> dict | None:
     if instance.p_star is None and instance.y_star is None:
         return None
@@ -217,7 +207,7 @@ def _result_metrics(instance: ProblemInstance, result) -> dict | None:
 
 
 SOLVE_OPTIONS = (
-    Option("mode", _text, None, "solver mode (default: the bundle's model)",
+    Option("mode", _text, None, "solver mode (default: rlocal when the bundle has a partition)",
            ("rlocal", "ksparse")),
     _EPSILON, _MAX_ITERS,
     Option("out", _text, None, "output directory (default: the bundle directory)"),
@@ -227,20 +217,8 @@ SOLVE_OPTIONS = (
 def cmd_solve(opts: dict) -> int:
     bundle_dir = Path(opts["instance"])
     instance = load_bundle(bundle_dir)
-    meta = load_bundle_meta(bundle_dir)
-
-    mode = opts["mode"]
-    if mode is None:
-        model = model_from_dict(meta.get("model"))
-        mode = "rlocal" if isinstance(model, RLocal) or (
-            model is None and instance.partition is not None) else "ksparse"
-    solver_config = SolverConfig(
-        mode=mode,
-        epsilon=opts["epsilon"],
-        max_iters=opts["max_iters"],
-        partition=instance.partition if mode == "rlocal" else None,
-    )
-    result = solve(instance, solver_config)
+    mode = opts["mode"] or _mode(instance)
+    result = solve(instance, SolverConfig(mode, opts["epsilon"], opts["max_iters"]))
 
     out = Path(opts["out"] or bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,25 +257,17 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
     child_seed = int(np.random.SeedSequence(
         (spec["seed"], point_idx, seed_idx)).generate_state(1)[0])
     n, d, m = spec["n"], spec["d"], spec["m"]
-    sweep = spec["sweep"]
-    sigma = spec["sigma"]
-    if sweep == "r":
-        model: RLocal | KSparse = RLocal(BlockPartition.equal_blocks(n, int(value)))
-    elif sweep == "k":
-        model = KSparse(int(value))
+    model_name, r, k, sigma = spec["model"], spec["r"], spec["k"], spec["sigma"]
+    if spec["sweep"] == "r":
+        model_name, r = "rlocal", int(value)
+    elif spec["sweep"] == "k":
+        model_name, k = "ksparse", int(value)
     else:
-        model = _build_model(n, spec["model"], spec["r"], None, spec["k"])
         sigma = float(value)
-    mode = "rlocal" if isinstance(model, RLocal) else "ksparse"
-    synth = SynthConfig(n=n, d=d, m=m, model=model, sigma=sigma,
-                        b_dist=spec["b_dist"], seed=child_seed)
+    synth = SynthConfig(n=n, d=d, m=m, model=_build_model(n, model_name, r, None, k),
+                        sigma=sigma, b_dist=spec["b_dist"], seed=child_seed)
     instance = generate(synth)
-    solver_config = SolverConfig(
-        mode=mode,
-        epsilon=spec["epsilon"],
-        max_iters=spec["max_iters"],
-        partition=instance.partition if mode == "rlocal" else None,
-    )
+    solver_config = SolverConfig(_mode(instance), spec["epsilon"], spec["max_iters"])
     start = time.perf_counter()
     result = solve(instance, solver_config)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -386,10 +356,10 @@ def cmd_bench(opts: dict) -> int:
 # annotation. The int parameters of the checks all count rows, columns, blocks
 # or trials. Parameters that take arrays or partitions keep their default null.
 _SPEC_VALUE_KINDS = {
-    int: _is_count,
-    float: _is_real,
-    float | None: lambda v: v is None or _is_real(v),
-    list[float] | None: lambda v: v is None or (isinstance(v, list) and all(map(_is_real, v))),
+    int: is_count,
+    float: is_real,
+    float | None: lambda v: v is None or is_real(v),
+    list[float] | None: lambda v: v is None or (isinstance(v, list) and all(map(is_real, v))),
 }
 
 

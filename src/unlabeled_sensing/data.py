@@ -12,6 +12,9 @@ Instance bundle layout (one directory):
     Ystar.csv   optional unpermuted observations
     truth.json  {"permutation": [...0-based indices...], "partition": [sizes] | null}
     meta.json   {"sigma": float, "seed": int | null, "model": {...} | null}
+
+The meta.json model must agree with the truth.json partition: an r-local
+model names the partition's sizes, and a k-sparse model goes with no partition.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,10 +71,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.B.shape[0]
-
-    @property
-    def has_truth(self) -> bool:
-        return self.p_star is not None
 
     @cached_property
     def b_svd(self) -> SvdFactors:
@@ -152,12 +152,23 @@ class BlockRule:
         cols = tuple(self.columns)
         if not cols:
             raise EmptyBlockRule("block rule must name at least one column")
+        try:
+            scale = 10.0 ** self.decimals
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise InvalidConfig(
+                f"blocking columns {', '.join(cols)}: cannot round to {self.decimals} decimals")
         object.__setattr__(self, "columns", cols)
 
 
-def _round_half_away(value: float, decimals: int) -> float:
+def _round_half_away(value: float, decimals: int, path, column: str) -> float:
     scale = 10.0 ** decimals
-    return math.copysign(math.floor(abs(value) * scale + 0.5), value) / scale
+    scaled = abs(value) * scale + 0.5
+    if not math.isfinite(scaled):
+        raise ParseError(f"blocking key {value!r} has no finite rounding to {decimals} decimals",
+                         path=str(path), column=column)
+    return math.copysign(math.floor(scaled), value) / scale
 
 
 def _read_csv_table(path) -> tuple[list[str], list[list[float]]]:
@@ -207,7 +218,8 @@ def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
             raise ParseError(f"column {name!r} not found in header {header}", path=str(path))
 
     keys = [
-        tuple(_round_half_away(row[index[c]], block_rule.decimals) for c in block_rule.columns)
+        tuple(_round_half_away(row[index[c]], block_rule.decimals, path, c)
+              for c in block_rule.columns)
         for row in rows
     ]
     order = sorted(range(len(rows)), key=lambda i: keys[i])
@@ -393,7 +405,7 @@ def model_from_dict(payload) -> PermutationModel | None:
     variant = payload["variant"]
     if variant not in ("rlocal", "ksparse"):
         raise InvalidConfig(f"unknown model variant {variant!r}")
-    key, accepts = ("sizes", _is_index_list) if variant == "rlocal" else ("k", _is_index)
+    key, accepts = ("sizes", _is_count_list) if variant == "rlocal" else ("k", is_count)
     value = payload.get(key)
     if not accepts(value):
         raise InvalidConfig(f"malformed {variant} model {payload!r}")
@@ -420,7 +432,13 @@ def save_bundle(instance: ProblemInstance, out_dir,
 
 
 def load_bundle(bundle_dir) -> ProblemInstance:
-    """Read a bundle; every file must agree with the row count n of ``B.csv``."""
+    """Read a bundle and check that its files agree before anything is solved.
+
+    Every file must cover the n rows of ``B.csv`` and ``Ystar.csv`` must have
+    the columns of ``Y.csv`` (``ShapeMismatch``). ``meta.json`` must give a
+    finite non-negative ``sigma`` and a valid ``model`` that agrees with the
+    ``truth.json`` partition (``InvalidConfig``).
+    """
     bundle = Path(bundle_dir)
     B = read_matrix_csv(bundle / "B.csv")
     Y = read_matrix_csv(bundle / "Y.csv")
@@ -429,44 +447,50 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     if (bundle / "Ystar.csv").exists():
         y_star = read_matrix_csv(bundle / "Ystar.csv")
         _check_rows("Ystar.csv", y_star.shape[0], n)
-    sigma = 0.0
-    partition = None
-    p_star = None
-    meta_path = bundle / "meta.json"
-    if meta_path.exists():
-        raw_sigma = _read_json_object(meta_path).get("sigma", 0.0)
-        try:
-            sigma = float(raw_sigma or 0.0)
-        except (TypeError, ValueError):
-            raise InvalidConfig(f"meta.json sigma must be a number, got {raw_sigma!r}") from None
-    truth_path = bundle / "truth.json"
-    if truth_path.exists():
-        truth = _read_json_object(truth_path)
-        sizes = _truth_indices(truth, "partition")
-        if sizes is not None:
-            partition = BlockPartition(tuple(sizes))
-            _check_rows("truth.json partition", partition.n, n)
-        indices = _truth_indices(truth, "permutation")
-        if indices is not None:
-            p_star = Permutation.from_list(indices)
-            _check_rows("truth.json permutation", p_star.n, n)
-    return ProblemInstance(B=B, Y=Y, sigma=sigma, partition=partition,
+        if y_star.shape[1] != Y.shape[1]:
+            raise ShapeMismatch(
+                f"Ystar.csv has {y_star.shape[1]} columns but Y.csv has {Y.shape[1]}")
+    meta = _read_json_object(bundle / "meta.json")
+    truth = _read_json_object(bundle / "truth.json")
+    sigma = meta.get("sigma", 0.0)
+    if not (is_real(sigma) and sigma >= 0):
+        raise InvalidConfig(f"meta.json sigma must be a finite number >= 0, got {sigma!r}")
+    sizes = _truth_indices(truth, "partition")
+    partition = None if sizes is None else BlockPartition(tuple(sizes))
+    indices = _truth_indices(truth, "permutation")
+    p_star = None if indices is None else Permutation.from_list(indices)
+    for what, value in (("truth.json partition", partition), ("truth.json permutation", p_star)):
+        if value is not None:
+            _check_rows(what, value.n, n)
+    model = model_from_dict(meta.get("model"))
+    # an r-local model carries the partition; a k-sparse model goes with none
+    if model is not None and partition != getattr(model, "partition", None):
+        raise InvalidConfig("meta.json model does not match the truth.json partition: an "
+                            "rlocal model gives its sizes, a ksparse model has none")
+    return ProblemInstance(B=B, Y=Y, sigma=float(sigma), partition=partition,
                            p_star=p_star, y_star=y_star)
 
 
-def _is_index(value) -> bool:
+def is_count(value) -> bool:
     """A non-negative JSON integer; booleans are refused."""
     return type(value) is int and value >= 0
 
 
-def _is_index_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_index, value))
+def is_real(value) -> bool:
+    """A finite JSON number; booleans are refused."""
+    # int/float comparison is exact, so NaN, the infinities and integers beyond
+    # the float range all fail it without an OverflowError.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_count_list(value) -> bool:
+    return isinstance(value, list) and all(map(is_count, value))
 
 
 def _truth_indices(truth: dict, key: str) -> list[int] | None:
     """``truth[key]``: null, or a JSON list of non-negative integers (no booleans)."""
     value = truth.get(key)
-    if value is not None and not _is_index_list(value):
+    if value is not None and not _is_count_list(value):
         raise InvalidConfig(f"truth.json {key} must be a list of non-negative integers")
     return value
 
@@ -477,14 +501,13 @@ def _check_rows(what: str, rows: int, n: int) -> None:
 
 
 def _read_json_object(path: Path) -> dict:
-    payload = json.loads(path.read_text())
+    """The JSON object in ``path``; an absent file reads as an empty object."""
+    if not path.exists():
+        return {}
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
+        raise InvalidConfig(f"{path.name}: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig(f"{path.name} must hold a JSON object, got {type(payload).__name__}")
     return payload
-
-
-def load_bundle_meta(bundle_dir) -> dict:
-    meta_path = Path(bundle_dir) / "meta.json"
-    if not meta_path.exists():
-        return {"sigma": 0.0, "seed": None, "model": None}
-    return _read_json_object(meta_path)

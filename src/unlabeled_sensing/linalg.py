@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import NoConvergence, NonFinite, ShapeMismatch
 
-# Relative rank cutoff: singular values below max(rows, cols) * eps * S[0]
-# are treated as zero. Overridable per call via ``rank_tol``.
+# Relative rank cutoff: singular values at or below max(rows, cols) * eps * S[0]
+# count as zero.
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -34,11 +34,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def default_rank_tol(shape: tuple[int, int], leading_singular_value: float) -> float:
-    """Rank cutoff max(rows, cols) * machine epsilon * largest singular value."""
-    return max(shape) * EPS * float(leading_singular_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +67,8 @@ class SvdFactors:
         return X.ravel() if squeeze else X
 
 
-def svd(A, rank_tol: float | None = None) -> SvdFactors:
-    """Thin SVD of a finite matrix.
+def svd(A) -> SvdFactors:
+    """Thin SVD of a finite matrix, with the rank cutoff max(rows, cols) * eps * S[0].
 
     Raises ``NonFinite`` for NaN/Inf input and ``NoConvergence`` (reporting the
     matrix dimensions) if the underlying iteration fails.
@@ -83,11 +78,10 @@ def svd(A, rank_tol: float | None = None) -> SvdFactors:
         U, S, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD did not converge for {A.shape[0]}x{A.shape[1]} matrix") from exc
-    tol = default_rank_tol(A.shape, S[0] if S.size else 0.0) if rank_tol is None else float(rank_tol)
-    return SvdFactors(U=U, S=S, V=Vt.T, rank_tol=tol)
+    return SvdFactors(U=U, S=S, V=Vt.T, rank_tol=max(A.shape) * EPS * float(S[0]))
 
 
-def pinv_solve(A, Y, rank_tol: float | None = None) -> np.ndarray:
+def pinv_solve(A, Y) -> np.ndarray:
     """Minimum-norm least-squares solve ``X = pinv(A) @ Y``.
 
     For consistent underdetermined systems the result has minimum Frobenius
@@ -96,16 +90,16 @@ def pinv_solve(A, Y, rank_tol: float | None = None) -> np.ndarray:
     call; to solve repeatedly against one ``A``, keep ``svd(A)`` and call its
     ``solve``.
     """
-    return svd(A, rank_tol=rank_tol).solve(Y)
+    return svd(A).solve(Y)
 
 
-def row_space_projector(A, rank_tol: float | None = None) -> np.ndarray:
+def row_space_projector(A) -> np.ndarray:
     """Orthogonal projector ``V_r @ V_r.T`` onto the row space of ``A``.
 
     The result is d x d for an s x d input, symmetric and idempotent up to
     floating-point roundoff.
     """
-    f = svd(A, rank_tol=rank_tol)
+    f = svd(A)
     Vr = f.V[:, :f.rank]
     return Vr @ Vr.T
 

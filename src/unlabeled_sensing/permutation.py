@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,7 +22,10 @@ class Permutation:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.intp).copy()
+        try:
+            m = np.asarray(self.map, dtype=np.intp).copy()
+        except OverflowError:  # an index beyond the platform integer cannot be in 0..n-1
+            raise InvalidConfig("permutation map must be a bijection on 0..n-1") from None
         if m.ndim != 1 or m.size < 1:
             raise InvalidConfig("permutation map must be a non-empty 1-D index array")
         if not np.array_equal(np.sort(m), np.arange(m.size)):
@@ -50,7 +54,7 @@ class Permutation:
 
     @classmethod
     def from_list(cls, indices) -> "Permutation":
-        return cls(np.asarray(list(indices), dtype=np.intp))
+        return cls(list(indices))
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class BlockPartition:
         if len(sizes) == 0 or any(s < 1 for s in sizes):
             raise InvalidConfig(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "offsets", tuple(np.concatenate([[0], np.cumsum(sizes)]).tolist()))
+        # Python integers, exact at any size: numpy's int64 cumsum sums (2**62,) * 4 + (12,) to 12
+        object.__setattr__(self, "offsets", tuple(accumulate(sizes, initial=0)))
 
     @property
     def n(self) -> int:

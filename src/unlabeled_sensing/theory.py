@@ -22,7 +22,7 @@ import numpy as np
 
 from .collapse import build_collapsed, init_rlocal
 from .errors import InvalidRange, InvalidSpec, ShapeMismatch, SingularMatrix
-from .linalg import as_matrix, extreme_singular_values, pinv_solve, row_space_projector
+from .linalg import SvdFactors, as_matrix, row_space_projector, svd
 from .permutation import BlockPartition, apply, sample_ksparse
 
 
@@ -345,7 +345,8 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
     2||Ystar||_F^2 - 2||Xstar||_F^2 (n - k - c3 sqrt(t) - 3t) - F1 against
     7 exp(-t) for t >= log(m^2), and additionally asserts the unconditional
     bound sigma_min^2 ||Xstar - Xhat1||_F^2 <= 4||Ystar||_F^2 - F1 on every
-    single draw (up to relative slack).
+    single draw (up to relative slack). One SVD of B per draw gives both Xhat1
+    and sigma_min.
     """
     _require_trials(trials)
     _validate_k(n, k)
@@ -358,12 +359,13 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
     f1 = np.empty(trials)
     ysq = np.empty(trials)
     for i, (B, y_star, y0) in enumerate(_kshuffle_draws(x_star, n, k, trials, rng)):
-        x_hat1 = pinv_solve(B, y0)
+        f = svd(B)
+        x_hat1 = f.solve(y0)
         resid = y0 - B @ x_hat1
         f1[i] = float(np.sum(resid * resid))
         ysq[i] = float(np.sum(y_star * y_star))
         # sigma_min over the signal domain: zero when B is wide (rank < d)
-        smin = extreme_singular_values(B)[0] if n >= d else 0.0
+        smin = float(f.S[-1]) if n >= d else 0.0
         lhs[i] = smin * smin * float(np.sum((x_star - x_hat1) ** 2))
     violations = int(np.count_nonzero(lhs > 4.0 * ysq - f1 + slack * 4.0 * ysq))
     t_lo = math.log(m * m)
@@ -399,16 +401,16 @@ def worst_case_init_bound(B, x_hat, y) -> float:
     """Assumption-free error cap (||y||^2 - sigma_min^2 ||x_hat||^2) / sigma_min^2.
 
     The cap is attained when the signal aligns with the singular direction of
-    the smallest singular value. Raises SingularMatrix when sigma_min is
-    numerically zero.
+    the smallest singular value. ``B`` is the matrix or its ``SvdFactors``.
+    Raises SingularMatrix when sigma_min is numerically zero.
     """
-    B = as_matrix(B, "B")
-    smin, smax = extreme_singular_values(B)
+    f = B if isinstance(B, SvdFactors) else svd(B)
     # the cap needs ||B v|| >= sigma_min ||v|| on the whole signal domain,
     # which fails for wide or rank-deficient matrices
-    if (B.shape[0] < B.shape[1] or smin == 0.0
-            or smin <= max(B.shape) * np.finfo(float).eps * smax):
-        raise SingularMatrix(f"sigma_min of {B.shape[0]}x{B.shape[1]} matrix is numerically zero")
+    if f.rank < f.V.shape[0]:
+        raise SingularMatrix(
+            f"sigma_min of {f.U.shape[0]}x{f.V.shape[0]} matrix is numerically zero")
+    smin = float(f.S[-1])
     y = np.asarray(y, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     ysq = float(np.sum(y * y))
@@ -420,7 +422,8 @@ def check_worst_case(n: int, d: int, trials: int, rng: np.random.Generator,
                      slack: float = 1e-8) -> BoundReport:
     """Companion sampler for worst_case_init_bound on full-column-rank systems.
 
-    Verifies ||x - xhat||^2 <= cap on every noiseless draw with pinv recovery.
+    Verifies ||x - xhat||^2 <= cap on every noiseless draw with pinv recovery;
+    one SVD of B per draw serves both.
     """
     _require_trials(trials)
     if n < d:
@@ -431,8 +434,9 @@ def check_worst_case(n: int, d: int, trials: int, rng: np.random.Generator,
         B = rng.standard_normal((n, d))
         x_star = rng.standard_normal(d)
         y = B @ x_star
-        x_hat = pinv_solve(B, y)
-        caps[i] = worst_case_init_bound(B, x_hat, y)
+        f = svd(B)
+        x_hat = f.solve(y)
+        caps[i] = worst_case_init_bound(f, x_hat, y)
         err = float(np.sum((x_star - x_hat) ** 2))
         if err > caps[i] + slack * max(1.0, caps[i]):
             violations += 1

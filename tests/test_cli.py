@@ -2,6 +2,8 @@ import importlib.util
 import inspect
 import json
 import math
+import re
+import shlex
 import string
 import sys
 import tempfile
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlabeled_sensing.cli import CHECK_FUNCS, COMMANDS, _resolve, build_parser, main
+from unlabeled_sensing.data import load_bundle
+from unlabeled_sensing.errors import InvalidConfig
 
 
 def run(argv):
@@ -471,6 +475,135 @@ def test_solve_mistyped_truth_is_usage_error(tmp_path, capsys, key, value):
     assert not (bundle / "result.json").exists()
 
 
+@pytest.mark.parametrize("meta_model,partition", [
+    ({"variant": "ksparse", "k": 4}, [4, 4, 4]),
+    ({"variant": "rlocal", "sizes": [6, 6]}, [4, 4, 4]),
+    ({"variant": "rlocal", "sizes": [4, 4, 4]}, None),
+], ids=["ksparse-with-partition", "rlocal-sizes-differ", "rlocal-without-partition"])
+def test_solve_meta_model_contradicting_truth_partition_is_usage_error(tmp_path, capsys,
+                                                                       meta_model, partition):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "meta.json", model=meta_model)
+    _edit_json(bundle / "truth.json", partition=partition)
+    message = "meta.json model does not match the truth.json partition"
+    with pytest.raises(InvalidConfig, match=message):
+        load_bundle(bundle)
+    out = tmp_path / "out"
+    assert run(["solve", bundle, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("partition,mode", [([4, 4, 4], "rlocal"), (None, "ksparse")])
+def test_solve_default_mode_follows_the_partition(tmp_path, partition, mode):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "meta.json", model=None)
+    _edit_json(bundle / "truth.json", partition=partition)
+    assert run(["solve", bundle]) == 0
+    assert json.loads((bundle / "result.json").read_text())["mode"] == mode
+
+
+def test_solve_ystar_column_count_mismatch_is_caught_at_load(tmp_path, capsys):
+    bundle = _small_bundle(tmp_path)
+    lines = (bundle / "Ystar.csv").read_text().splitlines()
+    (bundle / "Ystar.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    out = tmp_path / "out"
+    assert run(["solve", bundle, "--out", out]) == 2
+    assert "Ystar.csv has 1 columns but Y.csv has 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["true", '"0.5"', '"nan"', "NaN", "Infinity", "-0.5",
+                                 "1" + "0" * 400, "null"],
+                         ids=["true", "text", "text-nan", "NaN", "Infinity", "negative",
+                              "beyond-float-range", "null"])
+def test_solve_meta_sigma_not_a_finite_non_negative_number_is_usage_error(tmp_path, capsys,
+                                                                          raw):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "meta.json", sigma="SIGMA")
+    meta = bundle / "meta.json"
+    meta.write_text(meta.read_text().replace('"SIGMA"', raw))
+    assert run(["solve", bundle]) == 2
+    assert "meta.json sigma must be a finite number >= 0" in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
+
+
+@pytest.mark.parametrize("key,decimals,message", [
+    ("nan", 0, "column key: blocking key nan has no finite rounding to 0 decimals"),
+    ("inf", 0, "column key: blocking key inf has no finite rounding to 0 decimals"),
+    ("1e300", 10, "column key: blocking key 1e+300 has no finite rounding to 10 decimals"),
+    ("1.5", 310, "blocking columns key: cannot round to 310 decimals"),
+    ("1.5", -400, "blocking columns key: cannot round to -400 decimals"),
+], ids=["nan-key", "infinite-key", "overflowing-key", "decimals-310", "decimals-minus-400"])
+def test_ingest_unroundable_blocking_key_is_usage_error(tmp_path, capsys, key, decimals,
+                                                        message):
+    data = tmp_path / "t.csv"
+    data.write_text(f"key,f1,f2,t1\n1,0.5,0.25,2\n{key},1.5,0.75,3\n")
+    out = tmp_path / "o"
+    assert run(["ingest", data, "--targets", "t1", "--features", "f1,f2",
+                "--block-cols", "key", "--decimals", decimals, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Junk for a bundle field: every JSON kind, with integers past int64 and past
+# the float range, NaN and the infinities (json writes them as NaN/Infinity).
+_BUNDLE_JUNK = st.one_of(
+    _JSON, st.integers(-2 ** 70, 2 ** 70), st.just(10 ** 400), st.floats(),
+    st.lists(st.one_of(st.integers(-1, 13), st.integers(2 ** 62, 2 ** 70)), max_size=13))
+_SIZES = st.lists(st.integers(1, 6), min_size=1, max_size=4)
+
+
+@st.composite
+def _bundle_edits(draw):
+    """The synth model of a 12-row bundle and edits to its files, mostly plausible."""
+    base = draw(st.sampled_from([("rlocal", "--r", 4), ("ksparse", "--k", 4)]))
+    models = st.one_of(
+        st.none(), st.builds(lambda sizes: {"variant": "rlocal", "sizes": sizes}, _SIZES),
+        st.just({"variant": "rlocal", "sizes": [4, 4, 4]}),
+        st.builds(lambda k: {"variant": "ksparse", "k": k}, st.integers(0, 13)))
+    edits = {
+        ("meta.json", "model"): _or_junk(models, _BUNDLE_JUNK),
+        ("meta.json", "sigma"): _or_junk(st.one_of(st.floats(0, 1), st.integers(0, 3)),
+                                         _BUNDLE_JUNK),
+        ("truth.json", "partition"): _or_junk(st.one_of(st.none(), st.just([4, 4, 4]), _SIZES),
+                                              _BUNDLE_JUNK),
+        ("truth.json", "permutation"): _or_junk(
+            st.one_of(st.none(), st.permutations(range(12)), st.permutations(range(11))),
+            _BUNDLE_JUNK),
+    }
+    picked = draw(st.sets(st.sampled_from(sorted(edits)), max_size=4))
+    ystar = draw(st.sampled_from(["keep", "keep", "drop-row", "drop-column", "add-column",
+                                  "remove"]))
+    mode = draw(st.sampled_from([None, None, "rlocal", "ksparse"]))
+    return base, {key: draw(edits[key]) for key in sorted(picked)}, ystar, mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bundle_edits())
+def test_solve_exit_code_on_an_edited_bundle_is_0_or_2(case):
+    (model, flag, value), edits, ystar, mode = case
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle, out = Path(tmp) / "bundle", Path(tmp) / "out"
+        assert run(["synth", "--n", 12, "--d", 3, "--m", 2, "--model", model, flag, value,
+                    "--sigma", 0.1, "--seed", 2, "--out", bundle]) == 0
+        for (name, key), edit in edits.items():
+            _edit_json(bundle / name, **{key: edit})
+        path = bundle / "Ystar.csv"
+        lines = path.read_text().splitlines()
+        if ystar == "remove":
+            path.unlink()
+        elif ystar != "keep":
+            lines = {"drop-row": lines[:-1],
+                     "drop-column": [line.rsplit(",", 1)[0] for line in lines],
+                     "add-column": [line + ",1" for line in lines]}[ystar]
+            path.write_text("\n".join(lines) + "\n")
+        argv = ["solve", bundle, "--out", out, "--max-iters", 5]
+        code = run(argv + (["--mode", mode] if mode else []))
+        # a bundle that is refused is refused before anything is written
+        assert code == 0 or (code == 2 and not out.exists())
+
+
 # ------------------------------------------------------------- option tables
 
 _SYNTH = ["synth", "--r", 4, "--d", 3, "--m", 2]
@@ -558,6 +691,32 @@ def test_benchmark_command_lines_parse_and_resolve(tmp_path, name, threads):
     opts = _resolve(build_parser().parse_args(workload.argv(0, threads)))
     if workload.threads_flag:
         assert opts["threads"] == threads
+
+
+def _readme_command_lines():
+    """Every ``unsense ...`` line in README's fenced code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("unsense "):
+                lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+README_COMMAND_LINES = _readme_command_lines()
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in README_COMMAND_LINES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMAND_LINES, ids=" ".join)
+def test_readme_command_lines_parse_and_resolve(argv):
+    _resolve(build_parser().parse_args(argv))
+    # full flag names only: argparse would also take a stale prefix such as --max-iter
+    flags = {"--" + opt.name.replace("_", "-") for opt in COMMANDS[argv[0]].options}
+    assert {word for word in argv if word.startswith("--")} <= flags | {"--config"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -1,15 +1,18 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_read_matrix_csv
-from unlabeled_sensing.data import (BlockRule, SynthConfig, evaluate, generate,
-                                    ingest_csv, load_bundle, model_from_dict,
+from unlabeled_sensing.data import (BlockRule, SynthConfig, _round_half_away, evaluate,
+                                    generate, ingest_csv, load_bundle, model_from_dict,
                                     oracle_and_naive, read_matrix_csv,
                                     save_bundle, write_matrix_csv)
 from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonNumeric,
-                                      ParseError)
+                                      ParseError, ShapeMismatch)
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            RLocal, apply, hamming_distortion)
 
@@ -152,6 +155,34 @@ def test_ingest_error_reporting(tmp_path):
         ingest_csv(empty, ("t1",), ("f1",), BlockRule(("key",)), seed=0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       decimals=st.integers(-323, 308))
+def test_ingest_key_rounding_is_half_away_from_zero_or_a_parse_error(value, decimals):
+    # the rounding rule of every finite key; where it has no finite value
+    # (|key| * 10**decimals overflows) the key is refused, naming the column
+    scale = 10.0 ** decimals
+    scaled = abs(value) * scale + 0.5
+    if math.isfinite(scaled):
+        want = math.copysign(math.floor(scaled), value) / scale
+        assert _round_half_away(value, decimals, "t.csv", "key") == want
+    else:
+        with pytest.raises(ParseError, match="column key"):
+            _round_half_away(value, decimals, "t.csv", "key")
+
+
+@pytest.mark.parametrize("decimals", [309, 400, -324, -400])
+def test_block_rule_refuses_decimals_without_a_finite_nonzero_scale(decimals):
+    with pytest.raises(InvalidConfig, match=f"blocking columns key, site: cannot round "
+                                            f"to {decimals} decimals"):
+        BlockRule(("key", "site"), decimals=decimals)
+
+
+@pytest.mark.parametrize("decimals", [308, -323])
+def test_block_rule_takes_decimals_up_to_the_float_range(decimals):
+    assert BlockRule(("key",), decimals=decimals).decimals == decimals
+
+
 # ------------------------------------------------------------- metrics
 
 def test_oracle_and_naive_definitions():
@@ -268,6 +299,23 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
     for got, want in ((loaded.B, inst.B), (loaded.Y, inst.Y), (loaded.y_star, inst.y_star)):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_partition_and_permutation_take_integers_past_int64():
+    # sizes past int64 must not wrap around to a plausible n, and an index past
+    # int64 is simply not in 0..n-1
+    assert BlockPartition((2**62,) * 4 + (12,)).n == 2**64 + 12
+    with pytest.raises(InvalidConfig, match="bijection"):
+        Permutation.from_list([2**70, 0])
+
+
+def test_load_bundle_checks_partition_rows_with_sizes_beyond_int64(tmp_path):
+    part = BlockPartition.equal_blocks(12, 3)
+    inst = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), seed=7))
+    out = save_bundle(inst, tmp_path / "bundle")
+    (out / "truth.json").write_text(json.dumps({"partition": [2**62] * 4 + [12]}))
+    with pytest.raises(ShapeMismatch, match="partition covers 18446744073709551628 rows"):
+        load_bundle(out)
 
 
 # ------------------------------------------------------------- matrix CSV reader vs the reference

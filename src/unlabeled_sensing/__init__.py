@@ -15,8 +15,7 @@ from .errors import (EmptyBlockRule, InvalidConfig, InvalidK, InvalidRange,
                      InvalidSpec, NoConvergence, NonFinite, NonNumeric,
                      ParseError, ShapeMismatch, SingularMatrix,
                      TooFewIterations, UnlabeledSensingError)
-from .linalg import (SvdFactors, extreme_singular_values, pinv_solve,
-                     row_space_projector, svd)
+from .linalg import SvdFactors, pinv_solve, row_space_projector, svd
 from .permutation import (BlockPartition, KSparse, Permutation,
                           PermutationModel, RLocal, apply, hamming_distortion,
                           sample_ksparse, sample_rlocal)

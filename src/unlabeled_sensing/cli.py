@@ -26,7 +26,7 @@ import numpy as np
 from . import theory
 from .data import (BlockRule, ProblemInstance, SynthConfig, evaluate, generate,
                    ingest_csv, is_count, is_real, load_bundle, oracle_and_naive,
-                   save_bundle, write_matrix_csv)
+                   read_json, save_bundle, write_matrix_csv)
 from .errors import InvalidConfig, InvalidSpec, UnlabeledSensingError
 from .permutation import BlockPartition, KSparse, RLocal, hamming_distortion
 from .solver import SolverConfig, solve
@@ -397,7 +397,7 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
     """
     spec_path = opts["spec"]
     if spec_path:
-        payload = json.loads(Path(spec_path).read_text())
+        payload = read_json(spec_path)
         entries = payload.get("checks") if isinstance(payload, dict) else None
         if not isinstance(entries, list) or not entries:
             raise InvalidSpec(f"suite spec {spec_path} must hold a non-empty 'checks' list")
@@ -487,7 +487,7 @@ def _resolve(args) -> dict:
     command = COMMANDS[args.command]
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text())
+        config = read_json(args.config)
         if not isinstance(config, dict):
             raise InvalidConfig(f"config file {args.config} must hold a JSON object")
     unknown = sorted(set(config) - {opt.name for opt in command.options})
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command].run(_resolve(args))
-    except (UnlabeledSensingError, OSError, json.JSONDecodeError) as exc:
+    except (UnlabeledSensingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

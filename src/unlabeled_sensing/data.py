@@ -171,32 +171,43 @@ def _round_half_away(value: float, decimals: int, path, column: str) -> float:
     return math.copysign(math.floor(scaled), value) / scale
 
 
+def _csv_records(path: Path):
+    """Each record of a CSV file with its 1-based record number, blank ones included.
+
+    A file that is not UTF-8, or that ``csv`` cannot split (such as a field
+    past its length limit), raises ``ParseError`` naming the file.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read as a UTF-8 CSV file: {exc}", path=str(path)) from None
+
+
 def _read_csv_table(path) -> tuple[list[str], list[list[float]]]:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty", path=str(path)) from None
-        header = [h.strip() for h in header]
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(raw)}",
-                    path=str(path), line=lineno)
-            parsed = []
-            for col_name, cell in zip(header, raw):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise NonNumeric(
-                        f"cannot parse {cell!r} as a number",
-                        path=str(path), line=lineno, column=col_name) from None
-            rows.append(parsed)
+    records = _csv_records(path)
+    first = next(records, None)
+    if first is None:
+        raise ParseError("file is empty", path=str(path))
+    header = [h.strip() for h in first[1]]
+    rows: list[list[float]] = []
+    for lineno, raw in records:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(raw)}",
+                path=str(path), line=lineno)
+        parsed = []
+        for col_name, cell in zip(header, raw):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise NonNumeric(
+                    f"cannot parse {cell!r} as a number",
+                    path=str(path), line=lineno, column=col_name) from None
+        rows.append(parsed)
     if not rows:
         raise ParseError("no data rows after header", path=str(path))
     return header, rows
@@ -361,28 +372,27 @@ def _loadtxt_matrix(path: Path) -> np.ndarray | None:
 
 def _read_matrix_csv_exact(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            parsed = []
-            for col, cell in enumerate(raw):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    if lineno == 1 and not any(_is_number(c) for c in raw):
-                        parsed = None  # header line, skip
-                        break
-                    raise ParseError(
-                        f"cannot parse {cell!r} as a number",
-                        path=str(path), line=lineno, column=col + 1) from None
-            if parsed is None:
-                continue
-            if rows and len(parsed) != len(rows[0]):
+    for lineno, raw in _csv_records(path):
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        parsed = []
+        for col, cell in enumerate(raw):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                if lineno == 1 and not any(_is_number(c) for c in raw):
+                    parsed = None  # header line, skip
+                    break
                 raise ParseError(
-                    f"expected {len(rows[0])} fields, got {len(parsed)}",
-                    path=str(path), line=lineno)
-            rows.append(parsed)
+                    f"cannot parse {cell!r} as a number",
+                    path=str(path), line=lineno, column=col + 1) from None
+        if parsed is None:
+            continue
+        if rows and len(parsed) != len(rows[0]):
+            raise ParseError(
+                f"expected {len(rows[0])} fields, got {len(parsed)}",
+                path=str(path), line=lineno)
+        rows.append(parsed)
     if not rows:
         raise ParseError("no numeric rows", path=str(path))
     return np.asarray(rows, dtype=np.float64)
@@ -500,14 +510,23 @@ def _check_rows(what: str, rows: int, n: int) -> None:
         raise ShapeMismatch(f"{what} covers {rows} rows but B.csv has {n}")
 
 
+def read_json(path) -> object:
+    """The JSON value in the file ``path``.
+
+    A file that is not UTF-8, or whose JSON Python cannot convert, is
+    ``InvalidConfig`` naming the file.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also a too long integer or too deep nesting
+        raise InvalidConfig(f"{path}: {exc}") from None
+
+
 def _read_json_object(path: Path) -> dict:
     """The JSON object in ``path``; an absent file reads as an empty object."""
     if not path.exists():
         return {}
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:  # malformed JSON, or an integer too long to convert
-        raise InvalidConfig(f"{path.name}: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise InvalidConfig(f"{path.name} must hold a JSON object, got {type(payload).__name__}")
     return payload

@@ -1,9 +1,9 @@
 """Dense matrix kernels the rest of the package relies on.
 
-Thin SVD, Moore-Penrose pseudoinverse solves, orthogonal projectors onto row
-spaces, and spectral extremes. Everything here is a pure function of float64
-arrays; the factorization itself is delegated to LAPACK via ``numpy.linalg``,
-the contracts (finiteness checks, rank tolerance, minimum-norm semantics) are
+Thin SVD, Moore-Penrose pseudoinverse solves and orthogonal projectors onto
+row spaces. Everything here is a pure function of float64 arrays; the
+factorization itself is delegated to LAPACK via ``numpy.linalg``, the
+contracts (finiteness checks, rank tolerance, minimum-norm semantics) are
 owned by this module.
 """
 
@@ -102,14 +102,3 @@ def row_space_projector(A) -> np.ndarray:
     f = svd(A)
     Vr = f.V[:, :f.rank]
     return Vr @ Vr.T
-
-
-def extreme_singular_values(A) -> tuple[float, float]:
-    """Smallest and largest singular values ``(sigma_min, sigma_max)``.
-
-    ``sigma_min`` is the min(rows, cols)-th singular value, so a tall full-rank
-    matrix gets its smallest nonzero value while a wide matrix may get 0 only
-    if it is rank deficient.
-    """
-    S = svd(A).S
-    return float(S[-1]), float(S[0])

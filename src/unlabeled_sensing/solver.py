@@ -36,7 +36,6 @@ class SolverConfig:
     mode: str
     epsilon: float = 0.01
     max_iters: int = 100
-    partition: BlockPartition | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -126,32 +125,26 @@ def relative_change(trace) -> float:
     return num / denom if denom > 0 else float("inf")
 
 
-def _resolve_partition(instance: ProblemInstance, config: SolverConfig) -> BlockPartition:
-    partition = config.partition if config.partition is not None else instance.partition
-    if partition is None:
-        raise InvalidConfig("rlocal mode requires a partition (config or instance)")
-    if partition.n != instance.n:
-        raise ShapeMismatch(f"partition covers {partition.n} rows but instance has {instance.n}")
-    return partition
-
-
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
     """Run the alternating minimization until the relative objective change
     falls below epsilon (or the objective hits the exact-fit floor), capped at
     max_iters.
 
     The first permutation is the assignment against the collapsed-system fit
-    (rlocal) or the identity (ksparse). One iteration is one signal update
-    followed by the objective, the stop test and, when the loop goes on, one
-    permutation update; the trace records the objective of each iteration.
-    Hitting the iteration cap is reported via ``converged=False``, not an error.
+    (rlocal, on the instance's partition) or the identity (ksparse). One
+    iteration is one signal update followed by the objective, the stop test
+    and, when the loop goes on, one permutation update; the trace records the
+    objective of each iteration. Hitting the iteration cap is reported via
+    ``converged=False``, not an error.
     """
     B, Y = instance.B, instance.Y
     # Factor B before the first assignment: factoring it after the r-local
     # blockwise assignment raised the rlocal_sweep peak RSS from 127 to 133 MB.
     b_svd = instance.b_svd
     if config.mode == "rlocal":
-        partition = _resolve_partition(instance, config)
+        partition = instance.partition
+        if partition is None:
+            raise InvalidConfig("rlocal mode requires an instance with a partition")
         p_hat = _assign(Y, B @ init_rlocal(build_collapsed(B, Y, partition)), partition)
     else:
         # The first reward would be Y Y^T, and by Cauchy-Schwarz every maximizer

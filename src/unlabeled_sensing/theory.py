@@ -9,7 +9,8 @@ absolute constant (check_lemma1, check_theorem1, check_theorem2) are validated
 qualitatively: the exceedance frequency must decay along an increasing t-grid
 and satisfy a smallness or band criterion that does not depend on the unknown
 constant. All checks are noiseless and trials share one sample per check, so
-reported frequencies are deterministic in the generator state.
+reported frequencies are deterministic in the generator state. The pass
+criteria are fixed: BAND_MARGIN, SMALLNESS and SLACK below.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .collapse import build_collapsed, init_rlocal
 from .errors import InvalidRange, InvalidSpec, ShapeMismatch, SingularMatrix
 from .linalg import SvdFactors, as_matrix, row_space_projector, svd
 from .permutation import BlockPartition, apply, sample_ksparse
+
+# The band (1 +- t) sqrt((d - s)/d) must hold at least 1 - BAND_MARGIN of the
+# trials (lemma1, theorem1).
+BAND_MARGIN = 0.1
+# The exceedance at theorem2's reference point t* may be at most SMALLNESS.
+SMALLNESS = 0.1
+# Relative round-off slack of the bounds asserted on every draw (theorem3,
+# worst_case).
+SLACK = 1e-8
 
 
 # ------------------------------------------------------------- derived constants
@@ -145,27 +155,26 @@ def _rlocal_init_errors(x_star: np.ndarray, partition: BlockPartition, trials: i
 
 
 def _ratio_report(check: str, params: dict, d: int, s: int, t: float, trials: int,
-                  ratios: np.ndarray, t_grid, band_margin: float) -> BoundReport:
+                  ratios: np.ndarray, t_grid) -> BoundReport:
     """Error ratios against (1 + t) sqrt((d - s)/d), plus the band (1 +- t) at t."""
     base = jl_threshold(d, s, 0.0)
     grid = sorted(set(t_grid if t_grid is not None else (0.1, 0.25, 0.5, 1.0, 2.0)) | {t})
     band = float(np.mean(((1.0 - t) * base <= ratios) & (ratios <= (1.0 + t) * base)))
     return _tail_report(check, params, t, trials,
                         lambda g: float(np.mean(ratios >= (1.0 + g) * base)), grid,
-                        jl_threshold(d, s, t), holds=band >= 1.0 - band_margin,
+                        jl_threshold(d, s, t), holds=band >= 1.0 - BAND_MARGIN,
                         band_frequency=band, median_ratio=float(np.median(ratios)))
 
 
 def check_lemma1(d: int, s: int, t: float, trials: int, rng: np.random.Generator,
-                 rows_per_block: int = 2, t_grid: list[float] | None = None,
-                 band_margin: float = 0.1) -> BoundReport:
+                 rows_per_block: int = 2, t_grid: list[float] | None = None) -> BoundReport:
     """Relative error of the collapsed initialization under Gaussian measurements.
 
     For a fixed unit signal and a fresh Gaussian measurement matrix per trial,
     the relative error concentrates at sqrt((d - s)/d): the frequency of
     exceeding (1 + t) sqrt((d - s)/d) must decay along the t-grid, and the
     two-sided band (1 +- t) sqrt((d - s)/d) must capture at least
-    1 - band_margin of the trials at the headline t. This is check_theorem1
+    1 - BAND_MARGIN of the trials at the headline t. This is check_theorem1
     at m = 1 with a unit-norm signal, so the errors need no division.
     """
     _require_trials(trials)
@@ -174,12 +183,12 @@ def check_lemma1(d: int, s: int, t: float, trials: int, rng: np.random.Generator
     x_star /= np.linalg.norm(x_star)
     errors = _rlocal_init_errors(x_star, partition, trials, rng)
     return _ratio_report("lemma1", {"d": d, "s": s, "t": t, "rows_per_block": rows_per_block},
-                         d, s, t, trials, errors, t_grid, band_margin)
+                         d, s, t, trials, errors, t_grid)
 
 
 def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
                    rng: np.random.Generator, rows_per_block: int = 2,
-                   t_grid: list[float] | None = None, band_margin: float = 0.1) -> BoundReport:
+                   t_grid: list[float] | None = None) -> BoundReport:
     """Multi-column version of check_lemma1 on Frobenius-norm ratios.
 
     The threshold (1 + t) sqrt((d - s)/d) does not depend on the number of
@@ -193,7 +202,7 @@ def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
     errors = _rlocal_init_errors(x_star, partition, trials, rng)
     return _ratio_report("theorem1",
                          {"d": d, "s": s, "m": m, "t": t, "rows_per_block": rows_per_block},
-                         d, s, t, trials, errors / np.linalg.norm(x_star), t_grid, band_margin)
+                         d, s, t, trials, errors / np.linalg.norm(x_star), t_grid)
 
 
 def _projection_sq_errors(d: int, s: int, columns: int, rng: np.random.Generator, B,
@@ -248,13 +257,13 @@ def check_lemma2(d: int, s: int, t: float, trials: int, rng: np.random.Generator
 def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator,
                    t: float | None = None, B=None,
                    partition: BlockPartition | None = None,
-                   K: float = 1.0, smallness: float = 0.1) -> BoundReport:
+                   K: float = 1.0) -> BoundReport:
     """Summed error norms for a fixed matrix and i.i.d. sub-Gaussian columns.
 
     The statistic sum_i ||x_i - xhat_i|| - m c2 has a sub-Gaussian upper tail
     with an unknown absolute constant, so the check asserts decay along the
-    t-grid plus smallness at t* = sqrt(m K1 ln 20), the point where the stated
-    tail with unit constant equals 0.1.
+    t-grid plus an exceedance of at most SMALLNESS at t* = sqrt(m K1 ln 20),
+    the point where the stated tail with unit constant equals 0.1.
     """
     _require_trials(trials)
     if m < 1:
@@ -275,7 +284,7 @@ def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator
     at_star = exceed_at(t_star)
     return _tail_report("theorem2", {"d": d, "s": s, "m": m, "t": t, "K": K}, t, trials,
                         exceed_at, sorted({0.0, t / 4.0, t / 2.0, t, t_star, 2.0 * max(t, t_star)}),
-                        t, holds=at_star <= smallness, c2=c2, K1=k1, t_star=t_star,
+                        t, holds=at_star <= SMALLNESS, c2=c2, K1=k1, t_star=t_star,
                         exceedance_at_t_star=at_star)
 
 
@@ -337,7 +346,7 @@ def check_lemma4(n: int, d: int, k: int, t: float, trials: int,
 
 
 def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
-                   rng: np.random.Generator, slack: float = 1e-8) -> BoundReport:
+                   rng: np.random.Generator) -> BoundReport:
     """One-step signal error of the identity initialization, multi-column.
 
     Per trial computes Xhat1 = pinv(B) @ Yhat0 and F1 = ||Y - B Xhat1||_F^2 and
@@ -345,7 +354,7 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
     2||Ystar||_F^2 - 2||Xstar||_F^2 (n - k - c3 sqrt(t) - 3t) - F1 against
     7 exp(-t) for t >= log(m^2), and additionally asserts the unconditional
     bound sigma_min^2 ||Xstar - Xhat1||_F^2 <= 4||Ystar||_F^2 - F1 on every
-    single draw (up to relative slack). One SVD of B per draw gives both Xhat1
+    single draw (up to relative SLACK). One SVD of B per draw gives both Xhat1
     and sigma_min.
     """
     _require_trials(trials)
@@ -367,7 +376,7 @@ def check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: int,
         # sigma_min over the signal domain: zero when B is wide (rank < d)
         smin = float(f.S[-1]) if n >= d else 0.0
         lhs[i] = smin * smin * float(np.sum((x_star - x_hat1) ** 2))
-    violations = int(np.count_nonzero(lhs > 4.0 * ysq - f1 + slack * 4.0 * ysq))
+    violations = int(np.count_nonzero(lhs > 4.0 * ysq - f1 + SLACK * 4.0 * ysq))
     t_lo = math.log(m * m)
     grid = sorted({max(t_lo, f * t) for f in (1.0, 1.5, 2.0, 3.0, 4.0)} | {t})
     return _kshuffle_report("theorem3", {"n": n, "d": d, "k": k, "m": m, "t": t}, n, k, t,
@@ -418,12 +427,11 @@ def worst_case_init_bound(B, x_hat, y) -> float:
     return (ysq - smin * smin * xsq) / (smin * smin)
 
 
-def check_worst_case(n: int, d: int, trials: int, rng: np.random.Generator,
-                     slack: float = 1e-8) -> BoundReport:
+def check_worst_case(n: int, d: int, trials: int, rng: np.random.Generator) -> BoundReport:
     """Companion sampler for worst_case_init_bound on full-column-rank systems.
 
-    Verifies ||x - xhat||^2 <= cap on every noiseless draw with pinv recovery;
-    one SVD of B per draw serves both.
+    Verifies ||x - xhat||^2 <= cap, up to relative SLACK, on every noiseless
+    draw with pinv recovery; one SVD of B per draw serves both.
     """
     _require_trials(trials)
     if n < d:
@@ -438,7 +446,7 @@ def check_worst_case(n: int, d: int, trials: int, rng: np.random.Generator,
         x_hat = f.solve(y)
         caps[i] = worst_case_init_bound(f, x_hat, y)
         err = float(np.sum((x_star - x_hat) ** 2))
-        if err > caps[i] + slack * max(1.0, caps[i]):
+        if err > caps[i] + SLACK * max(1.0, caps[i]):
             violations += 1
     return BoundReport(
         check="worst_case",

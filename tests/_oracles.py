@@ -35,8 +35,7 @@ import numpy as np
 from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
 from unlabeled_sensing.errors import InvalidRange, InvalidSpec, ParseError, ShapeMismatch
-from unlabeled_sensing.linalg import (as_matrix, extreme_singular_values, pinv_solve,
-                                      row_space_projector)
+from unlabeled_sensing.linalg import as_matrix, pinv_solve, row_space_projector
 from unlabeled_sensing.permutation import BlockPartition, apply, sample_ksparse
 from unlabeled_sensing.theory import (BoundReport, binomial_margin, const_c1, const_c2,
                                       const_c3, const_k1, jl_threshold)
@@ -473,7 +472,7 @@ def reference_check_theorem3(n: int, d: int, k: int, m: int, t: float, trials: i
         f1[i] = float(np.sum(resid * resid))
         ysq[i] = float(np.sum(y_star * y_star))
         # sigma_min over the signal domain: zero when B is wide (rank < d)
-        smin = extreme_singular_values(B)[0] if n >= d else 0.0
+        smin = float(np.linalg.svd(B, full_matrices=False)[1][-1]) if n >= d else 0.0
         lhs[i] = smin * smin * float(np.sum((x_star - x_hat1) ** 2))
         if lhs[i] > 4.0 * ysq[i] - f1[i] + slack * 4.0 * ysq[i]:
             uncond_violations += 1

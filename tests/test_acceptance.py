@@ -31,8 +31,7 @@ def _criterion(num: int, ok: bool, text: str) -> None:
 
 def _solve_synthetic(n, d, m, model, sigma, seed, mode, epsilon=0.01, max_iters=100):
     inst = generate(SynthConfig(n=n, d=d, m=m, model=model, sigma=sigma, seed=seed))
-    config = SolverConfig(mode=mode, epsilon=epsilon, max_iters=max_iters,
-                          partition=inst.partition)
+    config = SolverConfig(mode=mode, epsilon=epsilon, max_iters=max_iters)
     return inst, solve(inst, config)
 
 
@@ -270,7 +269,7 @@ def test_criterion_12_csv_protocol_beats_naive(tmp_path):
         inst = ingest_csv(path, target_cols=("t1", "t2"),
                           feature_cols=("f1", "f2", "f3"),
                           block_rule=BlockRule(("key",)), seed=seed)
-        result = solve(inst, SolverConfig(mode="rlocal", partition=inst.partition))
+        result = solve(inst, SolverConfig(mode="rlocal"))
         x_oracle, x_naive = oracle_and_naive(inst.B, inst.y_star, inst.Y)
         got = evaluate(result.x_hat, x_oracle, inst.B, inst.y_star,
                        result.p_hat, inst.p_star)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlabeled_sensing.cli import CHECK_FUNCS, COMMANDS, _resolve, build_parser, main
+from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _resolve,
+                                   build_parser, main)
 from unlabeled_sensing.data import load_bundle
 from unlabeled_sensing.errors import InvalidConfig
 
@@ -320,6 +321,84 @@ def test_validate_theory_integer_beyond_float_range_is_usage_error(tmp_path, cap
     assert not out.exists()
 
 
+# A spec may not set a check's pass criterion. lemma1 fails on this spec with
+# the fixed band margin of 0.1; a margin of 1.0 would have passed it.
+SPEC_CRITERION_KNOBS = [
+    ("lemma1", {"d": 100, "s": 75, "t": 0.01, "trials": 50}, "band_margin"),
+    ("theorem1", {"trials": 5}, "band_margin"),
+    ("theorem2", {"trials": 5}, "smallness"),
+    ("theorem3", {"trials": 5}, "slack"),
+    ("worst_case", {"trials": 5}, "slack"),
+]
+
+
+@pytest.mark.parametrize("name,params,knob", SPEC_CRITERION_KNOBS,
+                         ids=[f"{name}-{knob}" for name, _, knob in SPEC_CRITERION_KNOBS])
+def test_validate_theory_spec_cannot_set_a_pass_criterion(tmp_path, capsys, name, params,
+                                                          knob):
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": [{"check": name, "params": {**params, knob: 1.0}}]}))
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", "--spec", spec, "--out", out]) == 2
+    assert f"check {name}: unknown parameter {knob!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A value for every check parameter that a spec may set to something other
+# than null.
+SPEC_VALUES = {
+    "lemma1": {"d": 20, "s": 10, "t": 0.3, "trials": 7, "rows_per_block": 3,
+               "t_grid": [0.2, 0.9]},
+    "theorem1": {"d": 20, "s": 10, "m": 2, "t": 0.3, "trials": 7, "rows_per_block": 3,
+                 "t_grid": [0.2, 0.9]},
+    "lemma2": {"d": 20, "s": 10, "t": 1.5, "trials": 7, "K": 2.0},
+    "theorem2": {"d": 20, "s": 10, "m": 2, "trials": 7, "t": 3.0, "K": 2.0},
+    "lemma4": {"n": 30, "d": 4, "k": 5, "t": 1.5, "trials": 7},
+    "theorem3": {"n": 30, "d": 4, "k": 5, "m": 2, "t": 2.0, "trials": 7},
+    "chi2": {"D": 5, "t": 0.5, "trials": 7},
+    "worst_case": {"n": 12, "d": 4, "trials": 7},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FUNCS))
+def test_every_parameter_a_spec_sets_is_in_the_report(tmp_path, name):
+    # so that no spec can change a verdict without the report showing it
+    signature = inspect.signature(CHECK_FUNCS[name], eval_str=True).parameters
+    settable = {key for key, param in signature.items()
+                if key != "rng" and param.annotation in _SPEC_VALUE_KINDS}
+    assert settable == set(SPEC_VALUES[name])
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": [{"check": name, "params": SPEC_VALUES[name]}]}))
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", "--spec", spec, "--out", out]) in (0, 1)
+    [report] = json.loads(out.read_text())
+    for key, value in SPEC_VALUES[name].items():
+        if key == "trials":
+            assert report["trials"] == value
+        elif key == "t_grid":
+            assert set(value) <= set(report["details"]["t_grid"])
+        else:
+            assert report["params"][key] == value, key
+
+
+# A file that is not UTF-8, an integer past Python's 4300-digit conversion
+# limit, nesting past the recursion limit, and malformed JSON.
+UNREADABLE_JSON = [b'{"n": \xff}', b'{"n": 1' + b"0" * 5000 + b"}", b"[" * 100000,
+                   b'{"n": 1\n"d": 2}']
+
+
+@pytest.mark.parametrize("flag", ["config", "spec"])
+@pytest.mark.parametrize("content", UNREADABLE_JSON,
+                         ids=["not-utf8", "long-integer", "deep-nesting", "malformed"])
+def test_unreadable_json_file_is_usage_error_naming_it(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", f"--{flag}", path, "--out", out]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 _NUMBERS = st.one_of(st.integers(-50, 50), st.floats(-50, 50, allow_nan=False))
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
@@ -543,6 +622,31 @@ def test_ingest_unroundable_blocking_key_is_usage_error(tmp_path, capsys, key, d
     assert run(["ingest", data, "--targets", "t1", "--features", "f1,f2",
                 "--block-cols", "key", "--decimals", decimals, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A cell that is not UTF-8, and a field one character past csv's length limit.
+UNREADABLE_CSV_CELLS = [b"\xff\xfe1", b"x" * 131073]
+_UNREADABLE_IDS = ["not-utf8", "field-past-csv-limit"]
+
+
+@pytest.mark.parametrize("cell", UNREADABLE_CSV_CELLS, ids=_UNREADABLE_IDS)
+def test_solve_unreadable_bundle_csv_is_usage_error(tmp_path, capsys, cell):
+    bundle = _small_bundle(tmp_path)
+    (bundle / "Y.csv").write_bytes(cell + b",2\n")
+    assert run(["solve", bundle]) == 2
+    assert "Y.csv: cannot read as a UTF-8 CSV file" in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
+
+
+@pytest.mark.parametrize("cell", UNREADABLE_CSV_CELLS, ids=_UNREADABLE_IDS)
+def test_ingest_unreadable_csv_is_usage_error(tmp_path, capsys, cell):
+    data = tmp_path / "t.csv"
+    data.write_bytes(b"key,f1,f2,t1\n1,0.5,0.25,2\n" + cell + b",1.5,0.75,3\n")
+    out = tmp_path / "o"
+    assert run(["ingest", data, "--targets", "t1", "--features", "f1,f2",
+                "--block-cols", "key", "--out", out]) == 2
+    assert "t.csv: cannot read as a UTF-8 CSV file" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from _oracles import reference_pinv_solve
 from unlabeled_sensing.errors import NonFinite, ShapeMismatch
-from unlabeled_sensing.linalg import (extreme_singular_values, pinv_solve,
-                                      row_space_projector, svd)
+from unlabeled_sensing.linalg import pinv_solve, row_space_projector, svd
 
 
 def test_svd_identity():
@@ -123,20 +122,6 @@ def test_projector_idempotent_symmetric_trace():
     np.testing.assert_allclose(P @ P, P, atol=1e-10)
     np.testing.assert_allclose(P.T, P, atol=1e-10)
     assert abs(np.trace(P) - 3.0) <= 1e-10
-
-
-def test_extreme_singular_values_cases():
-    assert extreme_singular_values(np.diag([3.0, 1.0])) == (1.0, 3.0)
-    assert extreme_singular_values(np.zeros((2, 2))) == (0.0, 0.0)
-
-
-def test_extreme_singular_values_match_full_svd():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((50, 10))
-    smin, smax = extreme_singular_values(A)
-    S = np.linalg.svd(A, compute_uv=False)
-    assert abs(smin - S[-1]) <= 1e-10
-    assert abs(smax - S[0]) <= 1e-10
 
 
 def _factor_cases():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import brute_force_lap, brute_force_min_objective, reference_solve
 from unlabeled_sensing import data, linalg
@@ -155,11 +157,19 @@ def test_solve_requires_partition_for_rlocal():
         solve(inst, SolverConfig(mode="rlocal"))
 
 
+def test_solve_rlocal_partition_not_covering_the_rows_is_shape_mismatch():
+    rng = np.random.default_rng(4)
+    inst = data.ProblemInstance(B=rng.standard_normal((12, 3)), Y=rng.standard_normal((12, 2)),
+                                partition=BlockPartition((4, 4)))
+    with pytest.raises(ShapeMismatch, match="partition covers 8 rows"):
+        solve(inst, SolverConfig(mode="rlocal"))
+
+
 def test_solve_identity_truth_converges_in_one_iteration():
     for mode, model in (("rlocal", RLocal(BlockPartition((1,) * 20))),
                         ("ksparse", KSparse(0))):
         inst = generate(SynthConfig(n=20, d=4, m=2, model=model, seed=3))
-        config = SolverConfig(mode=mode, partition=inst.partition)
+        config = SolverConfig(mode=mode)
         result = solve(inst, config)
         assert result.converged
         assert result.iters == 1
@@ -171,7 +181,7 @@ def test_solve_reaches_brute_force_optimum_often_and_never_below():
     for seed in range(10):
         part = BlockPartition((3, 3))
         inst = generate(SynthConfig(n=6, d=2, m=2, model=RLocal(part), seed=seed))
-        result = solve(inst, SolverConfig(mode="rlocal", partition=part))
+        result = solve(inst, SolverConfig(mode="rlocal"))
         floor = brute_force_min_objective(inst.B, inst.Y)
         assert result.final_objective >= floor - 1e-9
         if result.final_objective <= floor + 1e-9 * max(1.0, floor):
@@ -187,7 +197,7 @@ def test_solve_trace_monotone_and_block_diagonal():
             part = BlockPartition.equal_blocks(n, 5)
             inst = generate(SynthConfig(n=n, d=3, m=2, model=RLocal(part),
                                         sigma=sigma, seed=int(rng.integers(0, 2**31))))
-            result = solve(inst, SolverConfig(mode="rlocal", partition=part))
+            result = solve(inst, SolverConfig(mode="rlocal"))
             trace = result.objective_trace
             slack = 1e-9 * trace[0]
             assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
@@ -200,7 +210,7 @@ def test_solve_reports_cap_via_converged_flag():
     # one iteration cap on a noisy instance cannot satisfy the epsilon rule
     part = BlockPartition.equal_blocks(30, 10)
     inst = generate(SynthConfig(n=30, d=3, m=2, model=RLocal(part), sigma=0.5, seed=7))
-    result = solve(inst, SolverConfig(mode="rlocal", partition=part, max_iters=1))
+    result = solve(inst, SolverConfig(mode="rlocal", max_iters=1))
     assert result.iters == 1
     assert not result.converged
 
@@ -247,8 +257,7 @@ def test_solve_matches_reference_loop_bitwise(name):
     inst = generate(SynthConfig(**EQUIVALENCE_CASES[name]))
     mode = "rlocal" if inst.partition is not None else "ksparse"
     for epsilon in (1e-2, 1e-9):
-        config = SolverConfig(mode=mode, epsilon=epsilon, max_iters=30,
-                              partition=inst.partition)
+        config = SolverConfig(mode=mode, epsilon=epsilon, max_iters=30)
         result = solve(inst, config)
         p_map, x_ref, trace_ref = reference_solve(inst.B, inst.Y, inst.partition,
                                                   epsilon=epsilon, max_iters=30)
@@ -286,7 +295,7 @@ def test_solve_and_scoring_share_one_factor_of_b(monkeypatch):
 
     monkeypatch.setattr(linalg, "svd", counting_svd)
     monkeypatch.setattr(data, "svd", counting_svd)
-    result = solve(inst, SolverConfig(mode="rlocal", partition=part, epsilon=1e-9))
+    result = solve(inst, SolverConfig(mode="rlocal", epsilon=1e-9))
     assert result.iters >= 2
     metrics = _result_metrics(inst, result)
     assert factored.count(inst.B.shape) == 1
@@ -294,3 +303,41 @@ def test_solve_and_scoring_share_one_factor_of_b(monkeypatch):
     got = data.oracle_and_naive(inst.b_svd, inst.y_star, inst.Y)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
     assert metrics["relative_error"] >= 0
+
+
+@st.composite
+def _hard_instances(draw):
+    """Small instances built to provoke ties: small-integer entries, B of any
+    rank down to 0, duplicate rows of Y, and blocks of size 1 or ragged sizes."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    n, d, m = sum(sizes), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rank = draw(st.integers(0, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.integers(-2, 3, (n, rank)) @ rng.integers(-2, 3, (rank, d))
+    Y = rng.integers(-3, 4, (n, m)).astype(np.float64)
+    if draw(st.booleans()):
+        Y = Y[rng.integers(0, max(1, n // 2), n)]
+    mode = draw(st.sampled_from(["rlocal", "ksparse"]))
+    partition = BlockPartition(tuple(sizes)) if mode == "rlocal" else None
+    return data.ProblemInstance(B=B.astype(np.float64), Y=Y, partition=partition), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_hard_instances())
+def test_solve_properties_on_tied_and_degenerate_instances(case):
+    inst, mode = case
+    config = SolverConfig(mode=mode, epsilon=1e-9, max_iters=20)
+    result = solve(inst, config)
+    trace = result.objective_trace
+    slack = 1e-9 * trace[0]
+    assert all(b <= a + slack for a, b in zip(trace, trace[1:]))
+    if inst.partition is not None:
+        for sl in inst.partition.slices():
+            assert sorted(result.p_hat.map[sl]) == list(range(sl.start, sl.stop))
+    assert np.array_equal(solve(inst, config).p_hat.map, result.p_hat.map)
+    if mode == "ksparse":
+        # the first estimate from the identity is the one any LAP maximizer of
+        # the first reward Y Y^T would give
+        first = solve(inst, SolverConfig(mode="ksparse", max_iters=1))
+        p_lap, _ = solve_lap(inst.Y @ inst.Y.T)
+        assert first.x_hat.tobytes() == signal_update(inst.B, inst.Y, p_lap).tobytes()

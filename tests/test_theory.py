@@ -303,7 +303,7 @@ SAME_REPORT_CASES = [
     ("lemma1", dict(d=50, s=25, t=10.0, trials=10)),
     ("lemma1", dict(d=20, s=10, t=0.0, trials=10)),
     ("lemma1", dict(d=30, s=20, t=0.25, trials=15, rows_per_block=3,
-                    t_grid=[1.5, 0.25, 0.0], band_margin=0.5)),
+                    t_grid=[1.5, 0.25, 0.0])),
     ("theorem1", dict(d=64, s=48, m=8, t=0.5, trials=10)),
     ("theorem1", dict(d=40, s=30, m=1, t=0.25, trials=20, t_grid=[1.0])),
     ("lemma2", dict(d=80, s=40, t=2.0, trials=200)),
@@ -314,8 +314,7 @@ SAME_REPORT_CASES = [
                     partition=BlockPartition((1, 2, 4, 5)))),
     ("theorem2", dict(d=60, s=30, m=4, trials=100)),
     ("theorem2", dict(d=30, s=10, m=1, trials=40, t=0.0)),
-    ("theorem2", dict(d=8, s=3, m=2, trials=40, t=3.0, K=2.0, smallness=0.5,
-                      B=_B[:3])),
+    ("theorem2", dict(d=8, s=3, m=2, trials=40, t=3.0, K=2.0, B=_B[:3])),
     ("lemma4", dict(n=200, d=10, k=20, t=3.0, trials=30)),
     ("lemma4", dict(n=50, d=5, k=0, t=1.0, trials=20)),
     ("lemma4", dict(n=30, d=4, k=5, t=0.0, trials=20)),

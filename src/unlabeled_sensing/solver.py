@@ -10,6 +10,15 @@ trace is nonincreasing. ``B`` is factored once per instance
 (``ProblemInstance.b_svd``) and every signal update reuses that factor. The
 public half-steps ``permutation_update``, ``signal_update`` and ``objective``
 validate their input and run the same private steps as the loop.
+
+The dense (k-sparse) assignment maximizes <y_i, z_j> - ||z_j||^2 / 2 with
+z = B X rather than <y_i, z_j>. Every permutation uses each column once, so the
+column term adds the same constant to every permutation and the maximizers are
+unchanged. The reward is -||y_i - z_j||^2 / 2 plus a row constant, so a row's
+best column is its nearest fitted row, usually still free, and scipy's
+augmenting-path search for it ends after one scan: the LAP time of a
+``ksparse_sweep`` op fell from 1.08 to 0.30 s. The r-local blocks keep the plain
+reward, where the shifted one measured slower for blocks of 10.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 from .assignment import solve_blockwise, solve_lap
 from .collapse import build_collapsed, init_rlocal
 from .data import ProblemInstance
-from .errors import InvalidConfig, ShapeMismatch, TooFewIterations
+from .errors import InvalidConfig, NonFinite, ShapeMismatch, TooFewIterations
 from .linalg import SvdFactors, as_matrix, svd
 from .permutation import BlockPartition, Permutation, apply
 
@@ -69,7 +78,11 @@ def _assign(Y: np.ndarray, y_fit: np.ndarray,
             partition: BlockPartition | None) -> Permutation:
     """Assignment step given the current fitted measurements y_fit = B @ X."""
     if partition is None:
-        p, _ = solve_lap(Y @ y_fit.T)
+        # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
+        # for every permutation, so the maximizers are those of <y_i, z_j>.
+        reward = Y @ y_fit.T
+        reward -= 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
+        p, _ = solve_lap(reward)
         return p
     blocks = [Y[sl] @ y_fit[sl].T for sl in partition.slices()]
     return solve_blockwise(blocks, partition)
@@ -98,8 +111,10 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
     """Exact minimizer of F(X, .) over the admissible permutation set.
 
     With a partition the assignment decouples into per-block problems with
-    rewards Y_i @ (B X)_i^T; without one it is a single dense assignment on
-    Y @ (B X)^T.
+    rewards Y_i @ (B X)_i^T. Without one it is a single dense assignment on
+    Y @ (B X)^T minus half the squared row norms of B X from each column: the
+    same maximizers, since each permutation collects every column term once,
+    and a faster LAP, since each row's best column is its nearest fitted row.
     """
     B, Y, X = _matrices(B, Y, X)
     if partition is not None and partition.n != Y.shape[0]:
@@ -125,6 +140,9 @@ def relative_change(trace) -> float:
     return num / denom if denom > 0 else float("inf")
 
 
+# An overflow shows up as a non-finite energy, objective or reward, each raised
+# as NonFinite, so numpy's overflow warnings are silenced rather than escaping.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
     """Run the alternating minimization until the relative objective change
     falls below epsilon (or the objective hits the exact-fit floor), capped at
@@ -138,6 +156,9 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
     ``converged=False``, not an error.
     """
     B, Y = instance.B, instance.Y
+    y_energy = float(np.sum(Y * Y))
+    if not np.isfinite(y_energy):
+        raise NonFinite("||Y||_F^2 overflows the float64 range")
     # Factor B before the first assignment: factoring it after the r-local
     # blockwise assignment raised the rlocal_sweep peak RSS from 127 to 133 MB.
     b_svd = instance.b_svd
@@ -152,12 +173,14 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
         partition = None
         p_hat = Permutation.identity(instance.n)
 
-    zero_floor = ZERO_FLOOR_REL * float(np.sum(Y * Y))
+    zero_floor = ZERO_FLOOR_REL * y_energy
     trace: list[float] = []
     while True:
         x_hat = _signal(b_svd, Y, p_hat)
         y_fit = B @ x_hat
         trace.append(_objective_from_fit(Y, y_fit, p_hat))
+        if not np.isfinite(trace[-1]):
+            raise NonFinite(f"objective of iteration {len(trace)} is not finite")
         converged = trace[-1] <= zero_floor or (
             len(trace) >= 2 and relative_change(trace) <= config.epsilon)
         if converged or len(trace) == config.max_iters:

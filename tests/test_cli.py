@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _resolve,
                                    build_parser, main)
-from unlabeled_sensing.data import load_bundle
+from unlabeled_sensing.data import load_bundle, read_matrix_csv, write_matrix_csv
 from unlabeled_sensing.errors import InvalidConfig
 
 
@@ -590,6 +590,21 @@ def test_solve_ystar_column_count_mismatch_is_caught_at_load(tmp_path, capsys):
     assert run(["solve", bundle, "--out", out]) == 2
     assert "Ystar.csv has 1 columns but Y.csv has 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model,option", [("rlocal", "--r"), ("ksparse", "--k")])
+def test_solve_bundle_whose_squares_overflow_is_usage_error(tmp_path, capsys, model, option):
+    # Scaled by 1e154, ||Y||_F^2 overflows float64 and the solve stops with
+    # NonFinite; by 1e153 it fits and the solve runs as before.
+    for scale, code in ((1e153, 0), (1e154, 2)):
+        bundle = tmp_path / f"{scale:g}"
+        assert run(["synth", "--n", 12, "--d", 3, "--m", 2, "--model", model, option, 4,
+                    "--sigma", 0.1, "--seed", 2, "--out", bundle]) == 0
+        for name in ("B.csv", "Y.csv", "Ystar.csv"):
+            write_matrix_csv(bundle / name, scale * read_matrix_csv(bundle / name))
+        assert run(["solve", bundle, "--mode", model]) == code
+        assert (bundle / "result.json").exists() == (code == 0)
+    assert "||Y||_F^2 overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["true", '"0.5"', '"nan"', "NaN", "Infinity", "-0.5",

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_lap, brute_force_min_objective, reference_solve
+from _oracles import (all_permutations, brute_force_lap, brute_force_min_objective,
+                      reference_solve)
 from unlabeled_sensing import data, linalg
 from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.cli import _result_metrics
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
 from unlabeled_sensing.data import SynthConfig, generate
-from unlabeled_sensing.errors import InvalidConfig, ShapeMismatch, TooFewIterations
+from unlabeled_sensing.errors import (InvalidConfig, NonFinite, ShapeMismatch,
+                                     TooFewIterations)
 from unlabeled_sensing.linalg import pinv_solve
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            RLocal, apply)
@@ -76,6 +78,46 @@ def test_permutation_update_identity_optimal_for_perfect_fit():
         p = permutation_update(B, Y, X)
         # identity attains the optimum; ties are possible but F must match
         assert objective(B, Y, p, X) <= objective(B, Y, Permutation.identity(6), X) + 1e-10
+
+
+@st.composite
+def _dense_steps(draw):
+    """B, Y, X for one dense step, built to provoke ties: small-integer
+    entries, duplicate rows of Y, and rows of B X whose norms span 1e-3 to 1e3."""
+    n, d, m = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.integers(-2, 3, (n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    X = rng.integers(-2, 3, (d, m)).astype(np.float64)
+    if draw(st.booleans()):
+        Y = (B @ X)[rng.permutation(n)]
+    else:
+        Y = rng.integers(-3, 4, (n, m)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    if draw(st.booleans()):
+        Y = Y[rng.integers(0, max(1, n // 2), n)]
+    return B, Y, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_dense_steps())
+def test_dense_permutation_update_attains_the_enumerated_minimum(case):
+    # The dense step maximizes <y_i, z_j> - ||z_j||^2 / 2; over all n!
+    # permutations it must still attain min_P ||Y - P B X||_F^2.
+    B, Y, X = case
+    z = B @ X
+    perms = all_permutations(Y.shape[0])
+    values = np.sum((Y[None] - z[perms]) ** 2, axis=(1, 2))
+    got = objective(B, Y, permutation_update(B, Y, X), X)
+    assert got <= values.min() + 1e-12 * (np.sum(Y * Y) + np.sum(z * z))
+
+
+def test_dense_permutation_update_equals_the_plain_reward_lap():
+    # The second k-sparse step of a Gaussian instance (no ties): the shifted
+    # reward and Y (B X)^T have the same maximizer.
+    inst = generate(SynthConfig(n=300, d=5, m=3, model=KSparse(150), sigma=0.1, seed=12))
+    x = signal_update(inst.B, inst.Y, Permutation.identity(300))
+    p = permutation_update(inst.B, inst.Y, x)
+    assert not np.array_equal(p.map, np.arange(300))
+    assert np.array_equal(p.map, solve_lap(inst.Y @ (inst.B @ x).T)[0].map)
 
 
 def test_permutation_update_single_block_equals_dense():
@@ -236,6 +278,15 @@ def test_solve_ksparse_first_step_is_identity_without_assignment():
     assert np.array_equal(result.p_hat.map, np.arange(12))
     _, x_ref, _ = reference_solve(B, Y, None, max_iters=1)
     assert result.x_hat.tobytes() == x_ref.tobytes()
+
+
+def test_solve_non_finite_objective_is_non_finite_error():
+    # ||Y||_F^2 is finite, but pinv(B) Y overflows for B near 1e-300.
+    rng = np.random.default_rng(5)
+    inst = data.ProblemInstance(B=1e-300 * rng.standard_normal((8, 2)),
+                                Y=1e10 * rng.standard_normal((8, 2)))
+    with pytest.raises(NonFinite, match="objective of iteration 1"):
+        solve(inst, SolverConfig(mode="ksparse"))
 
 
 # ------------------------------------------------------------- reference loop

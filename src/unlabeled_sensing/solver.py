@@ -11,19 +11,23 @@ trace is nonincreasing. ``B`` is factored once per instance
 public half-steps ``permutation_update``, ``signal_update`` and ``objective``
 validate their input and run the same private steps as the loop.
 
-The dense (k-sparse) assignment maximizes <y_i, z_j> - ||z_j||^2 / 2 with
-z = B X rather than <y_i, z_j>. Every permutation uses each column once, so the
-column term adds the same constant to every permutation and the maximizers are
-unchanged. The reward is -||y_i - z_j||^2 / 2 plus a row constant, so a row's
-best column is its nearest fitted row, usually still free, and scipy's
-augmenting-path search for it ends after one scan: the LAP time of a
-``ksparse_sweep`` op fell from 1.08 to 0.30 s. The r-local blocks keep the plain
-reward, where the shifted one measured slower for blocks of 10.
+Both assignment steps maximize <y_i, z_j> - ||z_j||^2 / 2 with z = B X rather
+than <y_i, z_j>, the dense (k-sparse) step over all rows and the r-local step
+within each block. Every permutation uses each column once, so the column term
+adds the same constant to every permutation and the maximizers are unchanged.
+The reward is -||y_i - z_j||^2 / 2 plus a row constant, so a row's best column
+is its nearest fitted row. When those are distinct the row argmax is an exact
+optimum and ``assignment`` runs no LAP at all: every r-local block of a
+Gaussian instance certifies, and so do most dense steps after the first
+(``ksparse_sweep`` work_per_s 2.4-2.5x, ``BENCH_row_certificate.json``).
+Where two rows share a nearest fitted row, scipy's augmenting-path search
+still ends most rows after one scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -74,18 +78,38 @@ def _objective_from_fit(Y: np.ndarray, y_fit: np.ndarray, p: Permutation) -> flo
     return float(np.sum(diff * diff))
 
 
+def _chunks(partition: BlockPartition, max_entries: int):
+    """(offset, size, count) for runs of consecutive equal-size blocks, each run
+    holding at most max_entries reward entries (or a single block)."""
+    lo = 0
+    for size, run in groupby(partition.sizes):
+        left, per = sum(1 for _ in run), max(1, max_entries // (size * size))
+        while left:
+            count = min(left, per)
+            yield lo, size, count
+            lo, left = lo + size * count, left - count
+
+
 def _assign(Y: np.ndarray, y_fit: np.ndarray,
             partition: BlockPartition | None) -> Permutation:
     """Assignment step given the current fitted measurements y_fit = B @ X."""
+    # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
+    # for every permutation (of a block), so the maximizers are those of <y_i, z_j>.
+    half_norms = 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
     if partition is None:
-        # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
-        # for every permutation, so the maximizers are those of <y_i, z_j>.
         reward = Y @ y_fit.T
-        reward -= 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
+        reward -= half_norms
         p, _ = solve_lap(reward)
         return p
-    blocks = [Y[sl] @ y_fit[sl].T for sl in partition.slices()]
-    return solve_blockwise(blocks, partition)
+    out = np.empty(partition.n, dtype=np.intp)
+    m = Y.shape[1]
+    for lo, size, count in _chunks(partition, Y.size):
+        hi = lo + size * count
+        fit = y_fit[lo:hi].reshape(count, size, m)
+        reward = Y[lo:hi].reshape(count, size, m) @ fit.transpose(0, 2, 1)
+        reward -= half_norms[lo:hi].reshape(count, 1, size)
+        out[lo:hi] = solve_blockwise(reward, BlockPartition((size,) * count)).map + lo
+    return Permutation(out)
 
 
 def _signal(b_svd: SvdFactors, Y: np.ndarray, p: Permutation) -> np.ndarray:
@@ -101,20 +125,31 @@ def _matrices(B, Y, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return B, Y, X
 
 
+# An overflow shows up as a non-finite energy, objective or reward, each raised
+# as NonFinite, so numpy's overflow warnings are silenced rather than escaping.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def objective(B, Y, p: Permutation, X) -> float:
-    """Forward error ||Y - P B X||_F^2."""
+    """Forward error ||Y - P B X||_F^2; NonFinite if it overflows."""
     B, Y, X = _matrices(B, Y, X)
-    return _objective_from_fit(Y, B @ X, p)
+    value = _objective_from_fit(Y, B @ X, p)
+    if not np.isfinite(value):
+        raise NonFinite("objective overflows the float64 range")
+    return value
 
 
+@_quiet_overflow
 def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Permutation:
     """Exact minimizer of F(X, .) over the admissible permutation set.
 
-    With a partition the assignment decouples into per-block problems with
-    rewards Y_i @ (B X)_i^T. Without one it is a single dense assignment on
-    Y @ (B X)^T minus half the squared row norms of B X from each column: the
-    same maximizers, since each permutation collects every column term once,
-    and a faster LAP, since each row's best column is its nearest fitted row.
+    The reward is Y @ (B X)^T minus half the squared row norms of B X from
+    each column, one dense assignment without a partition and one per block
+    with one: the same maximizers, since each permutation collects every
+    column term once, and each row's best column is its nearest fitted row,
+    so the row argmax is often the optimum outright. NonFinite if the reward
+    overflows.
     """
     B, Y, X = _matrices(B, Y, X)
     if partition is not None and partition.n != Y.shape[0]:
@@ -140,9 +175,7 @@ def relative_change(trace) -> float:
     return num / denom if denom > 0 else float("inf")
 
 
-# An overflow shows up as a non-finite energy, objective or reward, each raised
-# as NonFinite, so numpy's overflow warnings are silenced rather than escaping.
-@np.errstate(over="ignore", invalid="ignore")
+@_quiet_overflow
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
     """Run the alternating minimization until the relative objective change
     falls below epsilon (or the objective hits the exact-fit floor), capped at

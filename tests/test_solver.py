@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import (all_permutations, brute_force_lap, brute_force_min_objective,
                       reference_solve)
-from unlabeled_sensing import data, linalg
+from unlabeled_sensing import assignment, data, linalg, solver
 from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.cli import _result_metrics
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
@@ -118,6 +118,77 @@ def test_dense_permutation_update_equals_the_plain_reward_lap():
     p = permutation_update(inst.B, inst.Y, x)
     assert not np.array_equal(p.map, np.arange(300))
     assert np.array_equal(p.map, solve_lap(inst.Y @ (inst.B @ x).T)[0].map)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_dense_steps(), cuts=st.lists(st.integers(1, 6), max_size=6))
+def test_blockwise_permutation_update_attains_the_enumerated_minimum(case, cuts):
+    # The r-local step maximizes the same shifted reward within each block,
+    # built in batches of equal-size blocks; each block must still attain its
+    # own enumerated minimum of ||Y_b - P_b (B X)_b||_F^2.
+    B, Y, X = case
+    n = Y.shape[0]
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    part = BlockPartition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    p = permutation_update(B, Y, X, part)
+    z = B @ X
+    for sl in part.slices():
+        assert sorted(p.map[sl]) == list(range(sl.start, sl.stop))
+        yb, zb = Y[sl], z[sl]
+        values = np.sum((yb[None] - zb[all_permutations(yb.shape[0])]) ** 2, axis=(1, 2))
+        got = float(np.sum((yb - z[p.map[sl]]) ** 2))
+        assert got <= values.min() + 1e-12 * (np.sum(yb * yb) + np.sum(zb * zb))
+
+
+def _count_scipy_calls(monkeypatch) -> list:
+    calls = []
+    real = assignment.linear_sum_assignment
+
+    def counting(C, maximize):
+        calls.append(C.shape)
+        return real(C, maximize=maximize)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+    return calls
+
+
+def test_gaussian_rlocal_solve_runs_no_scipy_lap(monkeypatch):
+    # Every block's rows have distinct nearest fitted rows, so each block's
+    # row argmax is its optimum: a change that disables the shortcut fails here.
+    calls = _count_scipy_calls(monkeypatch)
+    part = BlockPartition.equal_blocks(2000, 10)
+    inst = generate(SynthConfig(n=2000, d=10, m=5, model=RLocal(part), sigma=0.01, seed=0))
+    result = solve(inst, SolverConfig(mode="rlocal"))
+    assert result.iters >= 2 and calls == []
+    assert np.array_equal(result.p_hat.map, inst.p_star.map)
+
+
+def test_ksparse_solve_skips_scipy_on_some_assignment_steps(monkeypatch):
+    calls = _count_scipy_calls(monkeypatch)
+    steps = []
+    real_assign = solver._assign
+    monkeypatch.setattr(solver, "_assign", lambda *a: steps.append(1) or real_assign(*a))
+    inst = generate(SynthConfig(n=300, d=10, m=5, model=KSparse(30), sigma=0.01, seed=0))
+    result = solve(inst, SolverConfig(mode="ksparse"))
+    assert len(steps) == result.iters - 1 >= 2
+    assert len(calls) < len(steps)
+    assert np.array_equal(result.p_hat.map, inst.p_star.map)
+
+
+def test_objective_overflow_is_non_finite_error():
+    # Under the suite's warnings-as-errors filter: no overflow warning escapes.
+    rng = np.random.default_rng(8)
+    B, X, Y = rng.standard_normal((6, 2)), rng.standard_normal((2, 2)), rng.standard_normal((6, 2))
+    with pytest.raises(NonFinite, match="objective"):
+        objective(B, 1e154 * Y, Permutation.identity(6), X)
+
+
+@pytest.mark.parametrize("partition", [None, BlockPartition((2, 4))])
+def test_permutation_update_overflow_is_non_finite_error(partition):
+    rng = np.random.default_rng(9)
+    B, X, Y = rng.standard_normal((6, 2)), rng.standard_normal((2, 2)), rng.standard_normal((6, 2))
+    with pytest.raises(NonFinite, match="NaN or Inf"):
+        permutation_update(1e154 * B, 1e154 * Y, X, partition)
 
 
 def test_permutation_update_single_block_equals_dense():

@@ -1,13 +1,22 @@
-"""Exact linear assignment: maximize <C, P> over permutation matrices.
+"""Exact linear assignment: optimize <C, P> over permutation matrices.
 
-A reward whose rows have distinct best columns needs no search: the map that
-sends each row to its best column collects every row's maximum, which bounds
-the value of any permutation, so it is an exact optimum. Only a reward in which
+A matrix whose rows have distinct best columns needs no search: the map that
+sends each row to its best column collects every row's optimum, which bounds
+the value of any permutation, so it is an exact optimum. Only a matrix in which
 two rows share a best column goes to scipy's shortest-augmenting-path solver
 (Jonker-Volgenant family, O(n^3)), which returns an exact integral optimum of
 the assignment LP. Blockwise solving runs the same kernel on each run of
 equal-size blocks, stacked, and concatenates the per-block optima into one
 block-diagonal permutation.
+
+``solve_nearest`` is the dense step of the k-sparse solver: it matches the rows
+of ``Y`` to fitted rows ``Z`` at least total squared distance, building no
+n x n matrix wherever it can. Each row's best column is its nearest fitted row,
+which a KD-tree finds in O(n log n) time and O(n m) memory when the fit is
+close; distinct nearest rows are the optimum outright. A cost matrix is built
+only while it is small, and goes to scipy only when many rows lost their
+nearest row; past that, a warm-started augmenting-path search computes the
+cost rows it scans on demand.
 """
 
 from __future__ import annotations
@@ -16,38 +25,55 @@ from itertools import groupby
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from .errors import NonFinite, ShapeMismatch
 from .permutation import BlockPartition, Permutation
 
+# solve_nearest builds the n x n cost matrix only while it holds at most
+# DENSE_BYTES_MAX bytes (n <= 8192), and hands it to scipy only when more than
+# n / WARM_FREE_DIV rows lost their nearest fitted row to another row;
+# otherwise it runs _warm_lap. Past the budget a dense scan builds BLOCK_BYTES
+# of cost rows at a time. _tree_pays samples TREE_SAMPLE rows and takes the
+# KD-tree up to TREE_FAR_MAX. All five are measured in BENCH_nearest_row.json.
+DENSE_BYTES_MAX = 2**29
+WARM_FREE_DIV = 8
+BLOCK_BYTES = 2**25
+TREE_SAMPLE = 64
+TREE_FAR_MAX = 4.0
 
-def _solve_stack(R: np.ndarray, describe) -> np.ndarray:
-    """Optimal column maps, shape (b, s), of a (b, s, s) stack of rewards.
+
+def _solve_stack(R: np.ndarray, describe, maximize: bool = True) -> np.ndarray:
+    """Optimal column maps, shape (b, s), of a (b, s, s) stack of matrices.
 
     Raises ``NonFinite(describe(i))`` for the first matrix i holding a NaN or
-    Inf, before any argmax. A matrix whose row argmaxes are distinct takes them
-    as its optimum; only the others go to ``linear_sum_assignment``.
+    Inf, before any argmax. A matrix whose row argmaxes (argmins when not
+    ``maximize``) are distinct takes them as its optimum; only the others go to
+    ``linear_sum_assignment``.
     """
     finite = np.isfinite(R).all(axis=(1, 2))
     if not finite.all():
         raise NonFinite(describe(int(np.argmin(finite))))
-    cols = R.argmax(axis=2)
+    cols = R.argmax(axis=2) if maximize else R.argmin(axis=2)
     ranked = np.sort(cols, axis=1)
     for i in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
-        cols[i] = linear_sum_assignment(R[i], maximize=True)[1]
+        cols[i] = linear_sum_assignment(R[i], maximize=maximize)[1]
     return cols
 
 
-def solve_lap(C) -> tuple[Permutation, float]:
-    """Permutation p maximizing sum_i C[i, p.map[i]], and the attained value.
+def solve_lap(C, maximize: bool = True) -> tuple[Permutation, float]:
+    """Permutation p maximizing sum_i C[i, p.map[i]] (minimizing it when
+    ``maximize`` is false), and the attained value.
 
     Ties are broken deterministically per build (by the row argmax or by the
-    solver's scan order); no canonical tie-break is promised.
+    solver's scan order); no canonical tie-break is promised. Minimizing hands
+    ``C`` to scipy as it is, where maximizing makes scipy negate a copy.
     """
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
         raise ShapeMismatch(f"reward matrix must be square, got shape {C.shape}")
-    cols = _solve_stack(C[None], lambda _: "reward matrix contains NaN or Inf entries")[0]
+    cols = _solve_stack(C[None], lambda _: "reward matrix contains NaN or Inf entries",
+                        maximize)[0]
     return Permutation(cols), float(C[np.arange(C.shape[0]), cols].sum())
 
 
@@ -78,3 +104,150 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
         out[lo:lo + count * size] = (cols + (lo + size * np.arange(count))[:, None]).ravel()
         first += count
     return Permutation(out)
+
+
+def _warm_lap(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """Column map minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
+    started from ``cols``, each row's best column.
+
+    Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016, the
+    algorithm of scipy's ``linear_sum_assignment``) from a warm start: the
+    first row to claim a column keeps it, with duals u_i = C[i, cols[i]] and
+    v = 0. They are feasible and tight on every kept edge, so only the rows
+    left without a column need a path. A search computes each cost row it
+    scans when it scans it, so memory stays O(n m).
+    """
+    n = Y.shape[0]
+    taken, first = np.unique(cols, return_index=True)
+    row4col = np.full(n, -1, dtype=np.intp)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col[taken], col4row[first] = first, taken
+    u = half_norms[cols] - np.einsum("ij,ij->i", Y, Z[cols])
+    v = np.zeros(n)
+    dist, hv, r = np.empty(n), np.empty(n), np.empty(n)
+    better = np.empty(n, dtype=bool)
+    path = np.empty(n, dtype=np.intp)
+    for cur in np.flatnonzero(col4row < 0):
+        # dist[j]: the shortest reduced path from row cur to column j found so
+        # far; hv = half_norms - v, set to inf once column j is scanned.
+        dist.fill(np.inf)
+        np.subtract(half_norms, v, out=hv)
+        i, low = cur, 0.0
+        scanned, lows = [], []
+        while True:
+            np.matmul(Z, Y[i], out=r)
+            np.subtract(hv, r, out=r)
+            r += low - u[i]
+            np.less(r, dist, out=better)
+            np.copyto(dist, r, where=better)
+            np.copyto(path, i, where=better)
+            j = int(dist.argmin())
+            low = float(dist[j])
+            if row4col[j] >= 0:
+                # among equally short columns, end the search at a free one
+                np.equal(dist, low, out=better)
+                if np.count_nonzero(better) > 1:
+                    better &= row4col < 0
+                    if better.any():
+                        j = int(better.argmax())
+            dist[j] = hv[j] = np.inf
+            scanned.append(j)
+            lows.append(low)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        J, L = np.asarray(scanned), np.asarray(lows)
+        u[cur] += low
+        u[row4col[J[:-1]]] += low - L[:-1]
+        v[J] -= low - L
+        j = J[-1]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
+    """Cost matrix half_norms[j] - <y_i, z_j>, built in place: the reward
+    <y_i, z_j> - half_norms[j] negated bit for bit."""
+    cost = Y @ Z.T
+    np.subtract(half_norms, cost, out=cost)
+    return cost
+
+
+def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
+    """Whether a KD-tree is likely to find the nearest fitted rows faster than a
+    dense scan, judged from TREE_SAMPLE evenly spaced rows of ``Y``.
+
+    A query must search every cell that a ball of the nearest distance d1 meets,
+    about (1 + d1 / d2)^m of them when the second-nearest row lies at d2. The
+    step takes the tree while m log(1 + median d1 / d2) <= TREE_FAR_MAX.
+    """
+    n, m = Y.shape
+    if n < 2:
+        return True
+    sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE] if n > TREE_SAMPLE else Y
+    half_sq = _cost(sample, Z, half_norms)
+    half_sq += 0.5 * np.einsum("ij,ij->i", sample, sample)[:, None]
+    d1, d2 = np.partition(half_sq, 1, axis=1)[:, :2].clip(min=0).T
+    ratio = np.divide(d1, d2, out=np.ones_like(d1), where=d2 > 0)
+    return bool(m * np.log1p(np.sqrt(np.median(ratio))) <= TREE_FAR_MAX)
+
+
+def _nearest_blocked(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
+    """Each row's least-cost column, from cost rows built BLOCK_BYTES at a time."""
+    n = Y.shape[0]
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    cols = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        cost = _cost(Y[lo:lo + rows], Z, half_norms)
+        if not np.isfinite(cost).all():
+            raise NonFinite("cost matrix contains NaN or Inf entries")
+        cols[lo:lo + rows] = cost.argmin(axis=1)
+    return cols
+
+
+def solve_nearest(Y: np.ndarray, Z: np.ndarray) -> Permutation:
+    """Permutation p minimizing sum_i ||y_i - z_{p.map[i]}||^2 over all permutations.
+
+    ``Y`` and ``Z`` are finite (n, m) arrays. Equivalently p maximizes the
+    reward sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
+    ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
+
+    For m = 1, sorting both sides pairs them optimally (the rearrangement
+    inequality). Otherwise each row's best column is its nearest fitted row,
+    found by a KD-tree when ``_tree_pays`` and else by a dense scan: the whole
+    cost matrix while it fits ``DENSE_BYTES_MAX`` (handed to ``solve_lap``,
+    which also certifies it), or blocks of it. Distinct nearest rows are the
+    optimum. If some rows share one, scipy gets the cost matrix while it fits
+    and more than n / ``WARM_FREE_DIV`` rows lost their nearest row;
+    ``_warm_lap`` solves the rest without an n x n matrix. NonFinite if a
+    squared norm, distance or cost overflows.
+    """
+    n = Y.shape[0]
+    half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    if not np.isfinite(half_norms).all():
+        raise NonFinite("fitted rows' squared norms contain NaN or Inf entries")
+    if Y.shape[1] == 1:
+        cols = np.empty(n, dtype=np.intp)
+        cols[np.argsort(Y[:, 0], kind="stable")] = np.argsort(Z[:, 0], kind="stable")
+        return Permutation(cols)
+    dense_fits = 8 * n * n <= DENSE_BYTES_MAX
+    if _tree_pays(Y, Z, half_norms):
+        dist, cols = cKDTree(Z).query(Y)
+        if not np.isfinite(dist).all():
+            raise NonFinite("nearest-row distances contain NaN or Inf entries")
+    elif dense_fits:
+        return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
+    else:
+        cols = _nearest_blocked(Y, Z, half_norms)
+    free = n - np.count_nonzero(np.bincount(cols, minlength=n))
+    if free == 0:
+        return Permutation(cols)
+    if not dense_fits or free * WARM_FREE_DIV <= n:
+        return Permutation(_warm_lap(Y, Z, half_norms, cols))
+    return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]

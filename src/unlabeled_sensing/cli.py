@@ -513,6 +513,10 @@ def main(argv=None) -> int:
     except (UnlabeledSensingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError is a MemoryError; its message is one line
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

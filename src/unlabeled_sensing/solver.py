@@ -19,9 +19,12 @@ The reward is -||y_i - z_j||^2 / 2 plus a row constant, so a row's best column
 is its nearest fitted row. When those are distinct the row argmax is an exact
 optimum and ``assignment`` runs no LAP at all: every r-local block of a
 Gaussian instance certifies, and so do most dense steps after the first
-(``ksparse_sweep`` work_per_s 2.4-2.5x, ``BENCH_row_certificate.json``).
-Where two rows share a nearest fitted row, scipy's augmenting-path search
-still ends most rows after one scan.
+(``BENCH_row_certificate.json``). The dense step, ``assignment.solve_nearest``,
+finds the nearest rows with a KD-tree when the fit is close, and builds an
+n x n cost matrix only while it is small; where two rows share a nearest row,
+scipy gets that matrix when many rows lost theirs, and otherwise a
+warm-started augmenting-path LAP computes cost rows on demand
+(``BENCH_nearest_row.json``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .assignment import solve_blockwise, solve_lap
+from .assignment import solve_blockwise, solve_nearest
 from .collapse import build_collapsed, init_rlocal
 from .data import ProblemInstance
 from .errors import InvalidConfig, NonFinite, ShapeMismatch, TooFewIterations
@@ -93,14 +96,11 @@ def _chunks(partition: BlockPartition, max_entries: int):
 def _assign(Y: np.ndarray, y_fit: np.ndarray,
             partition: BlockPartition | None) -> Permutation:
     """Assignment step given the current fitted measurements y_fit = B @ X."""
-    # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
-    # for every permutation (of a block), so the maximizers are those of <y_i, z_j>.
-    half_norms = 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
     if partition is None:
-        reward = Y @ y_fit.T
-        reward -= half_norms
-        p, _ = solve_lap(reward)
-        return p
+        return solve_nearest(Y, y_fit)
+    # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
+    # for every permutation of a block, so the maximizers are those of <y_i, z_j>.
+    half_norms = 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
     out = np.empty(partition.n, dtype=np.intp)
     m = Y.shape[1]
     for lo, size, count in _chunks(partition, Y.size):
@@ -148,8 +148,10 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
     each column, one dense assignment without a partition and one per block
     with one: the same maximizers, since each permutation collects every
     column term once, and each row's best column is its nearest fitted row,
-    so the row argmax is often the optimum outright. NonFinite if the reward
-    overflows.
+    so the row argmax is often the optimum outright. The dense step
+    (``assignment.solve_nearest``) finds those rows without the n x n reward
+    where it can. NonFinite if the reward, or a squared norm, distance or
+    cost of the dense step, overflows.
     """
     B, Y, X = _matrices(B, Y, X)
     if partition is not None and partition.n != Y.shape[0]:

@@ -140,6 +140,10 @@ def test_solve_lap_attains_brute_force_value_with_ties(size, certified, seed):
     p, value = solve_lap(C)
     best, _ = brute_force_lap(C)
     assert value == best == lap_value(C, p)
+    # argmin of -C is argmax of C, and scipy negates a maximized matrix
+    # itself, so minimizing the negated matrix reaches the same map
+    q, cost = solve_lap(-C, maximize=False)
+    assert np.array_equal(p.map, q.map) and cost == -value
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,3 +207,19 @@ def test_non_finite_entry_is_refused_even_where_argmax_would_pick_it(monkeypatch
     C[1, 2] = np.nan
     with pytest.raises(NonFinite, match="reward matrix contains NaN"):
         solve_lap(C)
+
+
+def test_minimizing_hands_scipy_the_matrix_itself(monkeypatch):
+    seen = []
+    real = assignment.linear_sum_assignment
+
+    def spy(C, maximize):
+        seen.append((C, maximize))
+        return real(C, maximize=maximize)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    # both rows prefer column 1 (the lower cost); the argmin map is no permutation
+    C = np.array([[3.0, 0.0], [2.0, 0.0]])
+    p, cost = solve_lap(C, maximize=False)
+    assert p.to_list() == [1, 0] and cost == 2.0
+    assert len(seen) == 1 and np.shares_memory(seen[0][0], C) and seen[0][1] is False

@@ -2,9 +2,12 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import resource
 import shlex
 import string
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -13,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unlabeled_sensing
+from unlabeled_sensing import solver
 from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _resolve,
                                    build_parser, main)
 from unlabeled_sensing.data import load_bundle, read_matrix_csv, write_matrix_csv
@@ -590,6 +595,46 @@ def test_solve_ystar_column_count_mismatch_is_caught_at_load(tmp_path, capsys):
     assert run(["solve", bundle, "--out", out]) == 2
     assert "Ystar.csv has 1 columns but Y.csv has 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    assert run(["synth", "--n", 40, "--d", 3, "--m", 2, "--model", "ksparse", "--k", 20,
+                "--sigma", 0.1, "--seed", 3, "--out", bundle]) == 0
+    capsys.readouterr()
+
+    def exhausted(Y, Z):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape "
+                          "(30000, 30000) and data type float64")
+
+    monkeypatch.setattr(solver, "solve_nearest", exhausted)
+    assert run(["solve", bundle, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solve: out of memory: Unable to allocate 6.71 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+def test_large_ksparse_solve_fits_a_3gb_address_space(tmp_path):
+    # Two n x n float64 arrays at n = 30000 take 14.4 GB; the dense step built
+    # both and ended in numpy's _ArrayMemoryError. The KD-tree and the warm
+    # start (one row lost its nearest fitted row on seed 1) need O(n m).
+    code = "import sys; from unlabeled_sensing.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(unlabeled_sensing.__file__).resolve().parents[1])}
+    bundle = tmp_path / "bundle"
+    for argv in (["synth", "--n", "30000", "--d", "50", "--m", "10", "--model", "ksparse",
+                  "--k", "3000", "--seed", "1", "--out", str(bundle)],
+                 ["solve", str(bundle)]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=600,
+                              preexec_fn=_cap_address_space, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    result = json.loads((bundle / "result.json").read_text())
+    assert result["converged"] and result["metrics"]["frac_distortion"] == 0.0
 
 
 @pytest.mark.parametrize("model,option", [("rlocal", "--r"), ("ksparse", "--k")])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from _oracles import (all_permutations, brute_force_lap, brute_force_min_objective,
                       reference_solve)
@@ -100,14 +102,33 @@ def _dense_steps(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_dense_steps())
 def test_dense_permutation_update_attains_the_enumerated_minimum(case):
-    # The dense step maximizes <y_i, z_j> - ||z_j||^2 / 2; over all n!
-    # permutations it must still attain min_P ||Y - P B X||_F^2.
+    # The dense step minimizes sum_i ||y_i - z_p(i)||^2 (z = B X); over all n!
+    # permutations it must attain min_P ||Y - P B X||_F^2, and so must each of
+    # its routes on its own: the KD-tree certificate when the nearest rows are
+    # distinct, the warm-started search from them, and the cost-form LAP.
     B, Y, X = case
     z = B @ X
     perms = all_permutations(Y.shape[0])
-    values = np.sum((Y[None] - z[perms]) ** 2, axis=(1, 2))
+    best = np.sum((Y[None] - z[perms]) ** 2, axis=(1, 2)).min()
+    slack = 1e-12 * (np.sum(Y * Y) + np.sum(z * z))
     got = objective(B, Y, permutation_update(B, Y, X), X)
-    assert got <= values.min() + 1e-12 * (np.sum(Y * Y) + np.sum(z * z))
+    assert got <= best + slack
+
+    def value(cols):
+        assert sorted(cols) == list(range(Y.shape[0]))
+        return float(np.sum((Y - z[cols]) ** 2))
+
+    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
+    cost = Y @ z.T
+    np.subtract(half_norms, cost, out=cost)
+    rows = np.arange(Y.shape[0])
+    _, nearest = cKDTree(z).query(Y)
+    if np.unique(nearest).size == nearest.size:
+        assert value(nearest) <= best + slack
+    blocked = assignment._nearest_blocked(Y, z, half_norms)
+    assert np.array_equal(cost[rows, blocked], cost.min(axis=1))
+    assert value(assignment._warm_lap(Y, z, half_norms, nearest)) <= best + slack
+    assert value(solve_lap(cost, maximize=False)[0].map) <= best + slack
 
 
 def test_dense_permutation_update_equals_the_plain_reward_lap():
@@ -173,6 +194,135 @@ def test_ksparse_solve_skips_scipy_on_some_assignment_steps(monkeypatch):
     assert len(steps) == result.iters - 1 >= 2
     assert len(calls) < len(steps)
     assert np.array_equal(result.p_hat.map, inst.p_star.map)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("this route of the dense step must not run here")
+
+
+def _first_dense_step(n, k, seed, m=10):
+    """Y and the fitted rows B X of the first dense step of a k-sparse solve."""
+    inst = generate(SynthConfig(n=n, d=50, m=m, model=KSparse(k), sigma=0.01, seed=seed))
+    return inst.Y, inst.B @ signal_update(inst.B, inst.Y, Permutation.identity(n))
+
+
+def test_certified_dense_step_builds_no_cost_matrix(monkeypatch):
+    # Distinct nearest fitted rows: the tree's map is the reward's row argmax
+    # and the optimum, with no n x n array and no LAP.
+    Y, z = _first_dense_step(2000, 200, 1)
+    reward = Y @ z.T - 0.5 * np.einsum("ij,ij->i", z, z)
+    monkeypatch.setattr(assignment, "solve_lap", _no_call)
+    monkeypatch.setattr(assignment, "_warm_lap", _no_call)
+    p = assignment.solve_nearest(Y, z)
+    assert np.array_equal(p.map, reward.argmax(axis=1))
+    assert np.unique(reward.argmax(axis=1)).size == 2000
+
+
+def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
+    # With a budget too small for the cost matrix, a step whose nearest rows
+    # collide goes to the warm start and still returns scipy's optimum.
+    Y, z = _first_dense_step(300, 150, 12, m=3)
+    cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
+    assert np.unique(cost.argmin(axis=1)).size < 300
+    expected = linear_sum_assignment(cost)[1]
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 8 * 300 * 300 - 1)
+    monkeypatch.setattr(assignment, "solve_lap", _no_call)
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+
+
+def test_far_fit_takes_a_dense_scan_instead_of_the_tree(monkeypatch):
+    # The first step at k = n/2 and m = 50: a tree query would search most of
+    # its cells, so the step scans the cost matrix, whose row argmins certify.
+    Y, z = _first_dense_step(2000, 1000, 1, m=50)
+    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
+    assert not assignment._tree_pays(Y, z, half_norms)
+    close = Y + 1e-3
+    assert assignment._tree_pays(Y, close, 0.5 * np.einsum("ij,ij->i", close, close))
+    reward = Y @ z.T - half_norms
+    monkeypatch.setattr(assignment, "cKDTree", _no_call)
+    monkeypatch.setattr(assignment, "linear_sum_assignment", _no_call)
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, reward.argmax(axis=1))
+
+
+def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatch):
+    # Past the budget the far first step at k = 1000 scans cost rows a few
+    # hundred KB at a time, then the warm start settles its ~450 free rows.
+    Y, z = _first_dense_step(2000, 1000, 1)
+    cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
+    expected = linear_sum_assignment(cost)[1]
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
+    monkeypatch.setattr(assignment, "BLOCK_BYTES", 8 * 2000 * 300)
+    for name in ("cKDTree", "solve_lap"):
+        monkeypatch.setattr(assignment, name, _no_call)
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+
+
+@pytest.mark.parametrize("k,m,tree", [(1000, 10, False), (500, 5, True)])
+def test_uncertified_step_hands_scipy_the_cost_in_place(monkeypatch, k, m, tree):
+    # First steps where 450-550 of 2000 rows share a nearest fitted row: at
+    # m = 10 the fit is too far for the tree, at m = 5 the tree finds them.
+    # Either way scipy gets the cost matrix itself (minimize, no negated copy)
+    # and returns the map that maximize=True on the reward gave.
+    Y, z = _first_dense_step(2000, k, 1, m=m)
+    reward = Y @ z.T
+    reward -= 0.5 * np.einsum("ij,ij->i", z, z)
+    expected = linear_sum_assignment(reward, maximize=True)[1]
+    seen, trees = [], []
+    real_lap, real_tree = assignment.linear_sum_assignment, assignment.cKDTree
+
+    def spy(C, maximize):
+        seen.append((maximize, C.flags.c_contiguous, C.dtype))
+        assert np.array_equal(C, -reward)
+        return real_lap(C, maximize=maximize)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    monkeypatch.setattr(assignment, "cKDTree", lambda Z: trees.append(1) or real_tree(Z))
+    monkeypatch.setattr(assignment, "_warm_lap", _no_call)
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+    assert seen == [(False, True, np.float64)] and len(trees) == tree
+
+
+@pytest.mark.parametrize("k,max_iters", [(1000, 100), (1999, 2)])
+def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, k, max_iters):
+    # Every dense step of a solve at n = 2000 whose nearest rows collide: the
+    # warm start and linear_sum_assignment on the cost give one map and value.
+    # At k = 1999 only the first step runs (1576 rows without a column, about
+    # 8 s on 2 cores); the five later steps would add about 9 s.
+    steps = []
+    real = solver.solve_nearest
+    monkeypatch.setattr(solver, "solve_nearest",
+                        lambda Y, Z: steps.append(Z) or real(Y, Z))
+    inst = generate(SynthConfig(n=2000, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
+    solve(inst, SolverConfig(mode="ksparse", max_iters=max_iters))
+    uncertified = 0
+    for z in steps:
+        half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
+        _, nearest = cKDTree(z).query(inst.Y)
+        if np.unique(nearest).size == 2000:
+            continue
+        uncertified += 1
+        cost = inst.Y @ z.T
+        np.subtract(half_norms, cost, out=cost)
+        expected = linear_sum_assignment(cost)[1]
+        got = assignment._warm_lap(inst.Y, z, half_norms, nearest)
+        assert np.array_equal(got, expected)
+        rows = np.arange(2000)
+        assert cost[rows, got].sum() == cost[rows, expected].sum()
+    assert uncertified >= 1
+
+
+def test_ksparse_solve_with_one_column_sorts(monkeypatch):
+    # m = 1: sorting Y and B X pairs them at the least squared distance, so
+    # no tree, cost matrix or LAP runs; the loop matches the reference bit for bit.
+    inst = generate(SynthConfig(n=40, d=3, m=1, model=KSparse(20), sigma=0.3, seed=4))
+    p_ref, x_ref, trace_ref = reference_solve(inst.B, inst.Y, None, epsilon=1e-9)
+    for name in ("cKDTree", "linear_sum_assignment", "_warm_lap"):
+        monkeypatch.setattr(assignment, name, _no_call)
+    result = solve(inst, SolverConfig(mode="ksparse", epsilon=1e-9))
+    assert result.iters >= 2
+    assert np.array_equal(result.p_hat.map, p_ref)
+    assert result.x_hat.tobytes() == x_ref.tobytes()
+    assert result.objective_trace.tobytes() == trace_ref.tobytes()
 
 
 def test_objective_overflow_is_non_finite_error():

@@ -10,13 +10,14 @@ equal-size blocks, stacked, and concatenates the per-block optima into one
 block-diagonal permutation.
 
 ``solve_nearest`` is the dense step of the k-sparse solver: it matches the rows
-of ``Y`` to fitted rows ``Z`` at least total squared distance, building no
-n x n matrix wherever it can. Each row's best column is its nearest fitted row,
-which a KD-tree finds in O(n log n) time and O(n m) memory when the fit is
-close; distinct nearest rows are the optimum outright. A cost matrix is built
-only while it is small, and goes to scipy only when many rows lost their
-nearest row; past that, a warm-started augmenting-path search computes the
-cost rows it scans on demand.
+of ``Y`` to fitted rows ``Z`` at least total squared distance. While the n x n
+cost matrix fits a memory budget it is built in place and minimized by
+``solve_lap``, so scipy makes no negated copy. Past the budget no n x n matrix
+is built: each row's best column is its nearest fitted row, which a KD-tree
+finds in O(n log n) time and O(n m) memory when the fit is close, and a scan
+of blocks of cost rows otherwise. Distinct nearest rows are the optimum
+outright; if some rows share one, a warm-started augmenting-path search
+computes the cost rows it scans on demand.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .errors import NonFinite, ShapeMismatch
 from .permutation import BlockPartition, Permutation
 
 # solve_nearest builds the n x n cost matrix only while it holds at most
-# DENSE_BYTES_MAX bytes (n <= 8192), and hands it to scipy only when more than
-# n / WARM_FREE_DIV rows lost their nearest fitted row to another row;
-# otherwise it runs _warm_lap. Past the budget a dense scan builds BLOCK_BYTES
-# of cost rows at a time. _tree_pays samples TREE_SAMPLE rows and takes the
-# KD-tree up to TREE_FAR_MAX. All five are measured in BENCH_nearest_row.json.
+# DENSE_BYTES_MAX bytes (n <= 8192). Past the budget a blocked scan builds
+# BLOCK_BYTES of cost rows at a time, and _tree_pays samples TREE_SAMPLE rows
+# and takes the KD-tree up to TREE_FAR_MAX. All four are measured in
+# BENCH_nearest_row.json.
 DENSE_BYTES_MAX = 2**29
-WARM_FREE_DIV = 8
 BLOCK_BYTES = 2**25
 TREE_SAMPLE = 64
 TREE_FAR_MAX = 4.0
@@ -181,16 +180,15 @@ def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
 
 def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
     """Whether a KD-tree is likely to find the nearest fitted rows faster than a
-    dense scan, judged from TREE_SAMPLE evenly spaced rows of ``Y``.
+    blocked scan, judged from TREE_SAMPLE evenly spaced rows of ``Y`` (n is
+    past the dense budget, so far more than TREE_SAMPLE).
 
     A query must search every cell that a ball of the nearest distance d1 meets,
     about (1 + d1 / d2)^m of them when the second-nearest row lies at d2. The
     step takes the tree while m log(1 + median d1 / d2) <= TREE_FAR_MAX.
     """
     n, m = Y.shape
-    if n < 2:
-        return True
-    sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE] if n > TREE_SAMPLE else Y
+    sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE]
     half_sq = _cost(sample, Z, half_norms)
     half_sq += 0.5 * np.einsum("ij,ij->i", sample, sample)[:, None]
     d1, d2 = np.partition(half_sq, 1, axis=1)[:, :2].clip(min=0).T
@@ -218,36 +216,25 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray) -> Permutation:
     reward sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
     ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
 
-    For m = 1, sorting both sides pairs them optimally (the rearrangement
-    inequality). Otherwise each row's best column is its nearest fitted row,
-    found by a KD-tree when ``_tree_pays`` and else by a dense scan: the whole
-    cost matrix while it fits ``DENSE_BYTES_MAX`` (handed to ``solve_lap``,
-    which also certifies it), or blocks of it. Distinct nearest rows are the
-    optimum. If some rows share one, scipy gets the cost matrix while it fits
-    and more than n / ``WARM_FREE_DIV`` rows lost their nearest row;
-    ``_warm_lap`` solves the rest without an n x n matrix. NonFinite if a
-    squared norm, distance or cost overflows.
+    While the cost matrix fits ``DENSE_BYTES_MAX`` it goes to ``solve_lap``,
+    whose row argmins certify it or else scipy minimizes it. Past the budget
+    each row's best column is its nearest fitted row, found by a KD-tree when
+    ``_tree_pays`` and else by a blocked scan; distinct nearest rows are the
+    optimum, and ``_warm_lap`` settles the rows that lost theirs. NonFinite if
+    a squared norm, distance or cost overflows.
     """
     n = Y.shape[0]
     half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
     if not np.isfinite(half_norms).all():
         raise NonFinite("fitted rows' squared norms contain NaN or Inf entries")
-    if Y.shape[1] == 1:
-        cols = np.empty(n, dtype=np.intp)
-        cols[np.argsort(Y[:, 0], kind="stable")] = np.argsort(Z[:, 0], kind="stable")
-        return Permutation(cols)
-    dense_fits = 8 * n * n <= DENSE_BYTES_MAX
+    if 8 * n * n <= DENSE_BYTES_MAX:
+        return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
     if _tree_pays(Y, Z, half_norms):
         dist, cols = cKDTree(Z).query(Y)
         if not np.isfinite(dist).all():
             raise NonFinite("nearest-row distances contain NaN or Inf entries")
-    elif dense_fits:
-        return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
     else:
         cols = _nearest_blocked(Y, Z, half_norms)
-    free = n - np.count_nonzero(np.bincount(cols, minlength=n))
-    if free == 0:
+    if np.unique(cols).size == n:
         return Permutation(cols)
-    if not dense_fits or free * WARM_FREE_DIV <= n:
-        return Permutation(_warm_lap(Y, Z, half_norms, cols))
-    return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
+    return Permutation(_warm_lap(Y, Z, half_norms, cols))

@@ -20,10 +20,10 @@ is its nearest fitted row. When those are distinct the row argmax is an exact
 optimum and ``assignment`` runs no LAP at all: every r-local block of a
 Gaussian instance certifies, and so do most dense steps after the first
 (``BENCH_row_certificate.json``). The dense step, ``assignment.solve_nearest``,
-finds the nearest rows with a KD-tree when the fit is close, and builds an
-n x n cost matrix only while it is small; where two rows share a nearest row,
-scipy gets that matrix when many rows lost theirs, and otherwise a
-warm-started augmenting-path LAP computes cost rows on demand
+hands scipy the n x n cost (the reward negated in place, so scipy makes no
+copy) while it fits a memory budget. Past the budget it builds no n x n
+matrix: a KD-tree or a blocked scan finds the nearest rows, and where two rows
+share one, a warm-started augmenting-path LAP computes cost rows on demand
 (``BENCH_nearest_row.json``).
 """
 
@@ -149,8 +149,8 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
     with one: the same maximizers, since each permutation collects every
     column term once, and each row's best column is its nearest fitted row,
     so the row argmax is often the optimum outright. The dense step
-    (``assignment.solve_nearest``) finds those rows without the n x n reward
-    where it can. NonFinite if the reward, or a squared norm, distance or
+    (``assignment.solve_nearest``) finds those rows without an n x n matrix
+    past its memory budget. NonFinite if the reward, or a squared norm, distance or
     cost of the dense step, overflows.
     """
     B, Y, X = _matrices(B, Y, X)

@@ -623,8 +623,12 @@ def test_large_ksparse_solve_fits_a_3gb_address_space(tmp_path):
     # Two n x n float64 arrays at n = 30000 take 14.4 GB; the dense step built
     # both and ended in numpy's _ArrayMemoryError. The KD-tree and the warm
     # start (one row lost its nearest fitted row on seed 1) need O(n m).
+    # The 3 GiB cap assumes one BLAS thread: each thread of the pool adds its
+    # own buffer and stack to the address space, so the pool is pinned to
+    # measure the solver's arrays and not the host's core count.
     code = "import sys; from unlabeled_sensing.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {**os.environ,
+    env = {**os.environ, **{name: "1" for name in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
            "PYTHONPATH": str(Path(unlabeled_sensing.__file__).resolve().parents[1])}
     bundle = tmp_path / "bundle"
     for argv in (["synth", "--n", "30000", "--d", "50", "--m", "10", "--model", "ksparse",

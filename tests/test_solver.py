@@ -206,13 +206,41 @@ def _first_dense_step(n, k, seed, m=10):
     return inst.Y, inst.B @ signal_update(inst.B, inst.Y, Permutation.identity(n))
 
 
-def test_certified_dense_step_builds_no_cost_matrix(monkeypatch):
+def test_dense_step_within_the_budget_hands_solve_lap_the_cost_in_place(monkeypatch):
+    # n = 2000 fits the budget: both first steps build the cost matrix and run
+    # no tree. At k = 200 its row argmins are distinct and certify; at
+    # k = 1000 about 450 rows share a nearest fitted row, and scipy gets the
+    # cost matrix itself (minimize, no negated copy). Either way the map is
+    # the one the reward gave, by its argmax or by maximize=True.
+    seen = []
+    real = assignment.linear_sum_assignment
+
+    def spy(C, maximize):
+        seen.append((maximize, C.flags.c_contiguous, C.dtype))
+        assert np.array_equal(C, -reward)
+        return real(C, maximize=maximize)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
+    for name in ("cKDTree", "_nearest_blocked", "_warm_lap"):
+        monkeypatch.setattr(assignment, name, _no_call)
+    for k, scipy_runs in ((200, False), (1000, True)):
+        Y, z = _first_dense_step(2000, k, 1)
+        reward = Y @ z.T
+        reward -= 0.5 * np.einsum("ij,ij->i", z, z)
+        expected = real(reward, maximize=True)[1] if scipy_runs else reward.argmax(axis=1)
+        seen.clear()
+        assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+        assert seen == [(False, True, np.float64)] * scipy_runs
+
+
+def test_certified_step_past_the_memory_budget_builds_no_cost_matrix(monkeypatch):
     # Distinct nearest fitted rows: the tree's map is the reward's row argmax
     # and the optimum, with no n x n array and no LAP.
     Y, z = _first_dense_step(2000, 200, 1)
     reward = Y @ z.T - 0.5 * np.einsum("ij,ij->i", z, z)
-    monkeypatch.setattr(assignment, "solve_lap", _no_call)
-    monkeypatch.setattr(assignment, "_warm_lap", _no_call)
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
+    for name in ("solve_lap", "_nearest_blocked", "_warm_lap"):
+        monkeypatch.setattr(assignment, name, _no_call)
     p = assignment.solve_nearest(Y, z)
     assert np.array_equal(p.map, reward.argmax(axis=1))
     assert np.unique(reward.argmax(axis=1)).size == 2000
@@ -230,18 +258,13 @@ def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
 
 
-def test_far_fit_takes_a_dense_scan_instead_of_the_tree(monkeypatch):
+def test_tree_pays_only_for_a_close_fit():
     # The first step at k = n/2 and m = 50: a tree query would search most of
-    # its cells, so the step scans the cost matrix, whose row argmins certify.
+    # its cells, so a blocked scan is taken; a fit 1e-3 away takes the tree.
     Y, z = _first_dense_step(2000, 1000, 1, m=50)
-    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
-    assert not assignment._tree_pays(Y, z, half_norms)
+    assert not assignment._tree_pays(Y, z, 0.5 * np.einsum("ij,ij->i", z, z))
     close = Y + 1e-3
     assert assignment._tree_pays(Y, close, 0.5 * np.einsum("ij,ij->i", close, close))
-    reward = Y @ z.T - half_norms
-    monkeypatch.setattr(assignment, "cKDTree", _no_call)
-    monkeypatch.setattr(assignment, "linear_sum_assignment", _no_call)
-    assert np.array_equal(assignment.solve_nearest(Y, z).map, reward.argmax(axis=1))
 
 
 def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatch):
@@ -257,48 +280,24 @@ def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatc
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
 
 
-@pytest.mark.parametrize("k,m,tree", [(1000, 10, False), (500, 5, True)])
-def test_uncertified_step_hands_scipy_the_cost_in_place(monkeypatch, k, m, tree):
-    # First steps where 450-550 of 2000 rows share a nearest fitted row: at
-    # m = 10 the fit is too far for the tree, at m = 5 the tree finds them.
-    # Either way scipy gets the cost matrix itself (minimize, no negated copy)
-    # and returns the map that maximize=True on the reward gave.
-    Y, z = _first_dense_step(2000, k, 1, m=m)
-    reward = Y @ z.T
-    reward -= 0.5 * np.einsum("ij,ij->i", z, z)
-    expected = linear_sum_assignment(reward, maximize=True)[1]
-    seen, trees = [], []
-    real_lap, real_tree = assignment.linear_sum_assignment, assignment.cKDTree
-
-    def spy(C, maximize):
-        seen.append((maximize, C.flags.c_contiguous, C.dtype))
-        assert np.array_equal(C, -reward)
-        return real_lap(C, maximize=maximize)
-
-    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
-    monkeypatch.setattr(assignment, "cKDTree", lambda Z: trees.append(1) or real_tree(Z))
-    monkeypatch.setattr(assignment, "_warm_lap", _no_call)
-    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
-    assert seen == [(False, True, np.float64)] and len(trees) == tree
-
-
-@pytest.mark.parametrize("k,max_iters", [(1000, 100), (1999, 2)])
-def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, k, max_iters):
-    # Every dense step of a solve at n = 2000 whose nearest rows collide: the
-    # warm start and linear_sum_assignment on the cost give one map and value.
-    # At k = 1999 only the first step runs (1576 rows without a column, about
-    # 8 s on 2 cores); the five later steps would add about 9 s.
+@pytest.mark.parametrize("n,k", [(2000, 1000), (300, 299)])
+def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
+    # Every dense step of a solve whose nearest rows collide: the warm start
+    # and linear_sum_assignment on the cost give one map and value. At
+    # n = 2000, k = 1000 the first step has about 450 rows without a column;
+    # at n = 300, k = 299 every step has 67-155 of 300.
     steps = []
     real = solver.solve_nearest
     monkeypatch.setattr(solver, "solve_nearest",
                         lambda Y, Z: steps.append(Z) or real(Y, Z))
-    inst = generate(SynthConfig(n=2000, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
-    solve(inst, SolverConfig(mode="ksparse", max_iters=max_iters))
+    inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
+    solve(inst, SolverConfig(mode="ksparse"))
     uncertified = 0
+    rows = np.arange(n)
     for z in steps:
         half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
         _, nearest = cKDTree(z).query(inst.Y)
-        if np.unique(nearest).size == 2000:
+        if np.unique(nearest).size == n:
             continue
         uncertified += 1
         cost = inst.Y @ z.T
@@ -306,23 +305,8 @@ def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, k, max_i
         expected = linear_sum_assignment(cost)[1]
         got = assignment._warm_lap(inst.Y, z, half_norms, nearest)
         assert np.array_equal(got, expected)
-        rows = np.arange(2000)
         assert cost[rows, got].sum() == cost[rows, expected].sum()
     assert uncertified >= 1
-
-
-def test_ksparse_solve_with_one_column_sorts(monkeypatch):
-    # m = 1: sorting Y and B X pairs them at the least squared distance, so
-    # no tree, cost matrix or LAP runs; the loop matches the reference bit for bit.
-    inst = generate(SynthConfig(n=40, d=3, m=1, model=KSparse(20), sigma=0.3, seed=4))
-    p_ref, x_ref, trace_ref = reference_solve(inst.B, inst.Y, None, epsilon=1e-9)
-    for name in ("cKDTree", "linear_sum_assignment", "_warm_lap"):
-        monkeypatch.setattr(assignment, name, _no_call)
-    result = solve(inst, SolverConfig(mode="ksparse", epsilon=1e-9))
-    assert result.iters >= 2
-    assert np.array_equal(result.p_hat.map, p_ref)
-    assert result.x_hat.tobytes() == x_ref.tobytes()
-    assert result.objective_trace.tobytes() == trace_ref.tobytes()
 
 
 def test_objective_overflow_is_non_finite_error():

@@ -10,14 +10,16 @@ equal-size blocks, stacked, and concatenates the per-block optima into one
 block-diagonal permutation.
 
 ``solve_nearest`` is the dense step of the k-sparse solver: it matches the rows
-of ``Y`` to fitted rows ``Z`` at least total squared distance. While the n x n
-cost matrix fits a memory budget it is built in place and minimized by
-``solve_lap``, so scipy makes no negated copy. Past the budget no n x n matrix
-is built: each row's best column is its nearest fitted row, which a KD-tree
-finds in O(n log n) time and O(n m) memory when the fit is close, and a scan
-of blocks of cost rows otherwise. Distinct nearest rows are the optimum
-outright; if some rows share one, a warm-started augmenting-path search
-computes the cost rows it scans on demand.
+of ``Y`` to fitted rows ``Z`` at least total squared distance. Each row's best
+column is its nearest fitted row, and when the fit is close a KD-tree finds
+those in O(n log n) time and O(n m) memory at any n; distinct nearest rows are
+the optimum outright, with no n x n matrix. A step whose nearest rows collide,
+or whose fit is too far for the tree to pay, builds the n x n cost matrix in
+place while it fits a memory budget, and ``solve_lap`` certifies it by its row
+argmins or scipy minimizes it with no negated copy. Past the budget no n x n
+matrix is built: a scan of blocks of cost rows stands in for a declined tree,
+and a warm-started augmenting-path search settles the rows that share a
+nearest row, computing the cost rows it scans on demand.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from scipy.spatial import cKDTree
 from .errors import NonFinite, ShapeMismatch
 from .permutation import BlockPartition, Permutation
 
-# solve_nearest builds the n x n cost matrix only while it holds at most
-# DENSE_BYTES_MAX bytes (n <= 8192). Past the budget a blocked scan builds
-# BLOCK_BYTES of cost rows at a time, and _tree_pays samples TREE_SAMPLE rows
-# and takes the KD-tree up to TREE_FAR_MAX. All four are measured in
-# BENCH_nearest_row.json.
+# solve_nearest tries the KD-tree first at every n: _tree_pays samples
+# TREE_SAMPLE rows and takes the tree up to TREE_FAR_MAX. A step the tree does
+# not certify builds the n x n cost matrix while it holds at most
+# DENSE_BYTES_MAX bytes (n <= 8192); past the budget a blocked scan builds
+# BLOCK_BYTES of cost rows at a time. All four are measured in
+# BENCH_nearest_row.json, the tree within the budget in BENCH_tree_in_budget.json.
 DENSE_BYTES_MAX = 2**29
 BLOCK_BYTES = 2**25
 TREE_SAMPLE = 64
@@ -178,18 +181,26 @@ def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
     return cost
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
-    """Whether a KD-tree is likely to find the nearest fitted rows faster than a
-    blocked scan, judged from TREE_SAMPLE evenly spaced rows of ``Y`` (n is
-    past the dense budget, so far more than TREE_SAMPLE).
+    """Whether a KD-tree is likely to find the nearest fitted rows faster than
+    the cost rows would, judged from TREE_SAMPLE evenly spaced rows of ``Y``.
+    With at most TREE_SAMPLE rows the sample would be the whole matrix, so the
+    step builds the cost instead. A sample whose distances overflow reads NaN
+    and declines the tree, leaving the cost route to report any overflow.
 
     A query must search every cell that a ball of the nearest distance d1 meets,
     about (1 + d1 / d2)^m of them when the second-nearest row lies at d2. The
     step takes the tree while m log(1 + median d1 / d2) <= TREE_FAR_MAX.
     """
     n, m = Y.shape
+    if n <= TREE_SAMPLE:
+        return False
     sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE]
-    half_sq = _cost(sample, Z, half_norms)
+    # The sample's cost rows plus its half squared norms, built here so that
+    # _cost runs only for cost matrices.
+    half_sq = sample @ Z.T
+    np.subtract(half_norms, half_sq, out=half_sq)
     half_sq += 0.5 * np.einsum("ij,ij->i", sample, sample)[:, None]
     d1, d2 = np.partition(half_sq, 1, axis=1)[:, :2].clip(min=0).T
     ratio = np.divide(d1, d2, out=np.ones_like(d1), where=d2 > 0)
@@ -216,25 +227,28 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray) -> Permutation:
     reward sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
     ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
 
-    While the cost matrix fits ``DENSE_BYTES_MAX`` it goes to ``solve_lap``,
-    whose row argmins certify it or else scipy minimizes it. Past the budget
-    each row's best column is its nearest fitted row, found by a KD-tree when
-    ``_tree_pays`` and else by a blocked scan; distinct nearest rows are the
-    optimum, and ``_warm_lap`` settles the rows that lost theirs. NonFinite if
-    a squared norm, distance or cost overflows.
+    Each row's best column is its nearest fitted row, found by a KD-tree when
+    ``_tree_pays``; distinct nearest rows are the optimum. Otherwise, while the
+    cost matrix fits ``DENSE_BYTES_MAX``, it is built once and goes to
+    ``solve_lap``, whose row argmins certify it or else scipy minimizes it.
+    Past the budget a blocked scan stands in for a declined tree, and
+    ``_warm_lap`` settles the rows that lost their nearest row. NonFinite if a
+    squared norm, distance or cost overflows.
     """
     n = Y.shape[0]
     half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
     if not np.isfinite(half_norms).all():
         raise NonFinite("fitted rows' squared norms contain NaN or Inf entries")
-    if 8 * n * n <= DENSE_BYTES_MAX:
-        return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
+    dense = 8 * n * n <= DENSE_BYTES_MAX
+    cols = None
     if _tree_pays(Y, Z, half_norms):
         dist, cols = cKDTree(Z).query(Y)
         if not np.isfinite(dist).all():
             raise NonFinite("nearest-row distances contain NaN or Inf entries")
-    else:
+    elif not dense:
         cols = _nearest_blocked(Y, Z, half_norms)
-    if np.unique(cols).size == n:
+    if cols is not None and np.unique(cols).size == n:
         return Permutation(cols)
+    if dense:
+        return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
     return Permutation(_warm_lap(Y, Z, half_norms, cols))

@@ -20,11 +20,13 @@ is its nearest fitted row. When those are distinct the row argmax is an exact
 optimum and ``assignment`` runs no LAP at all: every r-local block of a
 Gaussian instance certifies, and so do most dense steps after the first
 (``BENCH_row_certificate.json``). The dense step, ``assignment.solve_nearest``,
-hands scipy the n x n cost (the reward negated in place, so scipy makes no
-copy) while it fits a memory budget. Past the budget it builds no n x n
-matrix: a KD-tree or a blocked scan finds the nearest rows, and where two rows
-share one, a warm-started augmenting-path LAP computes cost rows on demand
-(``BENCH_nearest_row.json``).
+asks a KD-tree for the nearest rows at any n when the fit is close, and
+distinct ones need no n x n matrix. A step they do not certify builds the
+n x n cost once (the reward negated in place, so scipy makes no copy) while it
+fits a memory budget. Past the budget it builds no n x n matrix: a blocked
+scan stands in for a declined tree, and where two rows share a nearest row, a
+warm-started augmenting-path LAP computes cost rows on demand
+(``BENCH_nearest_row.json``, ``BENCH_tree_in_budget.json``).
 """
 
 from __future__ import annotations
@@ -149,9 +151,10 @@ def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Perm
     with one: the same maximizers, since each permutation collects every
     column term once, and each row's best column is its nearest fitted row,
     so the row argmax is often the optimum outright. The dense step
-    (``assignment.solve_nearest``) finds those rows without an n x n matrix
-    past its memory budget. NonFinite if the reward, or a squared norm, distance or
-    cost of the dense step, overflows.
+    (``assignment.solve_nearest``) finds those rows by a KD-tree when the fit
+    is close, and never builds an n x n matrix past its memory budget.
+    NonFinite if the reward, or a squared norm, distance or cost of the dense
+    step, overflows.
     """
     B, Y, X = _matrices(B, Y, X)
     if partition is not None and partition.n != Y.shape[0]:

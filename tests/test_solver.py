@@ -206,31 +206,43 @@ def _first_dense_step(n, k, seed, m=10):
     return inst.Y, inst.B @ signal_update(inst.B, inst.Y, Permutation.identity(n))
 
 
-def test_dense_step_within_the_budget_hands_solve_lap_the_cost_in_place(monkeypatch):
-    # n = 2000 fits the budget: both first steps build the cost matrix and run
-    # no tree. At k = 200 its row argmins are distinct and certify; at
-    # k = 1000 about 450 rows share a nearest fitted row, and scipy gets the
-    # cost matrix itself (minimize, no negated copy). Either way the map is
-    # the one the reward gave, by its argmax or by maximize=True.
-    seen = []
-    real = assignment.linear_sum_assignment
-
-    def spy(C, maximize):
-        seen.append((maximize, C.flags.c_contiguous, C.dtype))
-        assert np.array_equal(C, -reward)
-        return real(C, maximize=maximize)
-
-    monkeypatch.setattr(assignment, "linear_sum_assignment", spy)
-    for name in ("cKDTree", "_nearest_blocked", "_warm_lap"):
+def test_tree_certifies_a_close_step_within_the_budget(monkeypatch):
+    # n = 2000 fits the budget, but at k = 200 the first step's nearest fitted
+    # rows are distinct: the KD-tree certifies it, with no cost matrix and no LAP.
+    Y, z = _first_dense_step(2000, 200, 1)
+    reward = Y @ z.T - 0.5 * np.einsum("ij,ij->i", z, z)
+    for name in ("_cost", "solve_lap", "_nearest_blocked", "_warm_lap"):
         monkeypatch.setattr(assignment, name, _no_call)
-    for k, scipy_runs in ((200, False), (1000, True)):
-        Y, z = _first_dense_step(2000, k, 1)
-        reward = Y @ z.T
-        reward -= 0.5 * np.einsum("ij,ij->i", z, z)
-        expected = real(reward, maximize=True)[1] if scipy_runs else reward.argmax(axis=1)
-        seen.clear()
-        assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
-        assert seen == [(False, True, np.float64)] * scipy_runs
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, reward.argmax(axis=1))
+
+
+def test_colliding_step_within_the_budget_builds_the_cost_once_for_scipy(monkeypatch):
+    # At k = 1000 about 450 rows share a nearest fitted row. Within the budget
+    # the cost matrix is built once, and scipy gets that matrix itself
+    # (minimize, C-contiguous, the reward negated, no copy); the blocked scan
+    # and the warm start never run. The map is the one the reward gave.
+    built, seen = [], []
+    real_cost, real_lap = assignment._cost, assignment.linear_sum_assignment
+
+    def cost_spy(*args):
+        built.append(real_cost(*args))
+        return built[-1]
+
+    def lap_spy(C, maximize):
+        seen.append((maximize, C.flags.c_contiguous, np.shares_memory(C, built[-1])))
+        return real_lap(C, maximize=maximize)
+
+    monkeypatch.setattr(assignment, "_cost", cost_spy)
+    monkeypatch.setattr(assignment, "linear_sum_assignment", lap_spy)
+    for name in ("_nearest_blocked", "_warm_lap"):
+        monkeypatch.setattr(assignment, name, _no_call)
+    Y, z = _first_dense_step(2000, 1000, 1)
+    reward = Y @ z.T
+    reward -= 0.5 * np.einsum("ij,ij->i", z, z)
+    expected = real_lap(reward, maximize=True)[1]
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+    assert len(built) == 1 and np.array_equal(built[0], -reward)
+    assert seen == [(False, True, True)]
 
 
 def test_certified_step_past_the_memory_budget_builds_no_cost_matrix(monkeypatch):
@@ -258,6 +270,40 @@ def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
 
 
+# Within the budget a step the tree does not certify goes to the cost matrix;
+# past it, to the blocked scan (for a declined tree) and the warm start.
+_WITHIN = {"_nearest_blocked": _no_call, "_warm_lap": _no_call}
+_PAST = {"DENSE_BYTES_MAX": 0, "solve_lap": _no_call}
+_ROUTES = {
+    "tree": {"_tree_pays": lambda *a: True, **_WITHIN},
+    "dense cost": _WITHIN,
+    "past the budget": _PAST,
+    "tree past the budget": {"_tree_pays": lambda *a: True, **_PAST},
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_route_of_the_dense_step_attains_the_enumerated_optimum(monkeypatch, n, route):
+    # Each route on its own: the KD-tree (forced; up to TREE_SAMPLE rows it is
+    # never taken) then the cost matrix, the cost matrix alone, and past the
+    # budget the blocked scan or the tree followed by the warm start. Fitted
+    # rows are random, duplicated (ties), or all zero (X_hat = 0, every
+    # permutation ties). The tree may break a tie differently from an argmin,
+    # so values are compared, not maps.
+    for name, value in _ROUTES[route].items():
+        monkeypatch.setattr(assignment, name, value)
+    rng = np.random.default_rng(n)
+    perms = all_permutations(n)
+    Y = rng.standard_normal((n, 3))
+    z = rng.standard_normal((n, 3))
+    for fit in (z, z[rng.integers(0, max(1, n // 2), n)], np.zeros((n, 3))):
+        values = np.sum((Y[None] - fit[perms]) ** 2, axis=(1, 2))
+        cols = assignment.solve_nearest(Y, fit).map
+        got = np.sum((Y[None] - fit[cols[None]]) ** 2, axis=(1, 2))[0]
+        assert got == values.min()
+
+
 def test_tree_pays_only_for_a_close_fit():
     # The first step at k = n/2 and m = 50: a tree query would search most of
     # its cells, so a blocked scan is taken; a fit 1e-3 away takes the tree.
@@ -265,6 +311,29 @@ def test_tree_pays_only_for_a_close_fit():
     assert not assignment._tree_pays(Y, z, 0.5 * np.einsum("ij,ij->i", z, z))
     close = Y + 1e-3
     assert assignment._tree_pays(Y, close, 0.5 * np.einsum("ij,ij->i", close, close))
+
+
+def test_tree_is_never_taken_at_or_below_the_sample_size():
+    # A sample of TREE_SAMPLE rows would be the whole matrix (and n = 1 has no
+    # second-nearest row), so up to TREE_SAMPLE rows the cost matrix is built.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, assignment.TREE_SAMPLE, assignment.TREE_SAMPLE + 1):
+        z = rng.standard_normal((n, 2))
+        close = z + 1e-3
+        pays = assignment._tree_pays(close, z, 0.5 * np.einsum("ij,ij->i", z, z))
+        assert pays == (n > assignment.TREE_SAMPLE)
+
+
+def test_overflowing_tree_sample_declines_the_tree_without_a_warning():
+    # Rows of Y near 1e160 overflow the sample's squared distances but not the
+    # cost ||z_j||^2 / 2 - <y_i, z_j>: the tree is declined with no numpy
+    # warning (errors under this suite's filter) and the cost matrix decides.
+    rng = np.random.default_rng(7)
+    Y, z = 1e160 * rng.standard_normal((100, 3)), rng.standard_normal((100, 3))
+    cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
+    assert not assignment._tree_pays(Y, z, 0.5 * np.einsum("ij,ij->i", z, z))
+    assert np.array_equal(assignment.solve_nearest(Y, z).map,
+                          solve_lap(cost, maximize=False)[0].map)
 
 
 def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatch):

@@ -222,7 +222,7 @@ def cmd_solve(opts: dict) -> int:
 
     out = Path(opts["out"] or bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "P_hat.json").write_text(result.p_hat.to_json() + "\n")
+    (out / "P_hat.json").write_text(result.p_hat.to_json() + "\n", encoding="utf-8")
     write_matrix_csv(out / "X_hat.csv", result.x_hat)
     payload = {
         "converged": result.converged,
@@ -232,7 +232,8 @@ def cmd_solve(opts: dict) -> int:
         "mode": mode,
         "metrics": _result_metrics(instance, result),
     }
-    (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n",
+                                     encoding="utf-8")
     print(f"solved in {result.iters} iterations, converged={result.converged}, "
           f"F={result.final_objective:.6g}")
     return 0
@@ -325,14 +326,14 @@ def cmd_bench(opts: dict) -> int:
 
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as fh:
+    with out.open("w", encoding="utf-8") as fh:
         fh.write("sweep_value,seed,d_H_over_n,rel_error,iters,wall_ms\n")
         for rec in records:
             fh.write(f"{rec.sweep_value:.10g},{rec.seed},{rec.d_h_over_n:.10g},"
                      f"{rec.rel_error:.10g},{rec.iters},{rec.wall_ms:.3f}\n")
 
     agg_path = out.with_name(out.stem + "_agg.csv")
-    with agg_path.open("w") as fh:
+    with agg_path.open("w", encoding="utf-8") as fh:
         fh.write("sweep_value,mean_d_H_over_n,mean_rel_error,mean_iters,mean_wall_ms,seeds\n")
         for value in grid:
             batch = [rec for rec in records if rec.sweep_value == value]
@@ -343,7 +344,7 @@ def cmd_bench(opts: dict) -> int:
                      f"{np.mean([r.wall_ms for r in batch]):.3f},{len(batch)}\n")
 
     ledger_path = out.with_name(out.stem + "_runs.jsonl")
-    with ledger_path.open("w") as fh:
+    with ledger_path.open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.__dict__) + "\n")
     print(f"wrote {out}, {agg_path}, {ledger_path}")
@@ -433,7 +434,8 @@ def cmd_validate_theory(opts: dict) -> int:
 
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
+    out.write_text(json.dumps([r.to_dict() for r in reports], indent=2) + "\n",
+                   encoding="utf-8")
     print(f"wrote {out}")
     return 0 if all(r.passed for r in reports) else 1
 

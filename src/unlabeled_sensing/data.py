@@ -310,7 +310,10 @@ def evaluate(X_hat, X_oracle, B, Y_star,
 # ---------------------------------------------------------------- bundle I/O
 
 def write_matrix_csv(path, M) -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=np.float64)), delimiter=",", fmt="%.17g")
+    # numpy would open a path with the locale's encoding; it writes to a handle as given.
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, np.atleast_2d(np.asarray(M, dtype=np.float64)), delimiter=",",
+                   fmt="%.17g")
 
 
 def _is_number(cell: str) -> bool:
@@ -356,7 +359,7 @@ def _loadtxt_matrix(path: Path) -> np.ndarray | None:
     numpy reads the open file rather than the path, so it never decompresses a
     file by its suffix the way ``numpy.loadtxt(path)`` would.
     """
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, [])
         # A blank line 1 counts as a header here: both readers skip it anyway.
@@ -435,9 +438,9 @@ def save_bundle(instance: ProblemInstance, out_dir,
         "permutation": instance.p_star.to_list() if instance.p_star is not None else None,
         "partition": list(instance.partition.sizes) if instance.partition is not None else None,
     }
-    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n")
+    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
     meta = {"sigma": instance.sigma, "seed": seed, "model": _model_to_dict(model)}
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return out
 
 

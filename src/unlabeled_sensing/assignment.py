@@ -9,13 +9,16 @@ the assignment LP. Blockwise solving runs the same kernel on each run of
 equal-size blocks, stacked, and concatenates the per-block optima into one
 block-diagonal permutation.
 
-``solve_nearest`` is the dense step of the k-sparse solver: it matches the rows
-of ``Y`` to fitted rows ``Z`` at least total squared distance. Each row's best
-column is its nearest fitted row, and when the fit is close a KD-tree finds
-those in O(n log n) time and O(n m) memory at any n; distinct nearest rows are
-the optimum outright, with no n x n matrix. A step whose nearest rows collide,
-or whose fit is too far for the tree to pay, builds the n x n cost matrix in
-place while it fits a memory budget, and ``solve_lap`` certifies it by its row
+``solve_nearest`` is the permutation step of both solver modes: it matches the
+rows of ``Y`` to fitted rows ``Z`` at least total squared distance, over all
+permutations or within the blocks of a partition. Each row's best column is its
+nearest fitted row. Blocks that fit a memory budget are solved as stacks of
+in-place cost matrices by the kernel above. The dense step, and a block past
+the budget, asks a KD-tree for the nearest rows when the fit is close, in
+O(n log n) time and O(n m) memory at any n; distinct nearest rows are the
+optimum outright, with no n x n matrix. A step whose nearest rows collide, or
+whose fit is too far for the tree to pay, builds the n x n cost matrix in
+place while it fits the budget, and ``solve_lap`` certifies it by its row
 argmins or scipy minimizes it with no negated copy. Past the budget no n x n
 matrix is built: a scan of blocks of cost rows stands in for a declined tree,
 and a warm-started augmenting-path search settles the rows that share a
@@ -39,12 +42,14 @@ import numpy as np
 from .errors import NonFinite, ShapeMismatch
 from .permutation import BlockPartition, Permutation
 
-# solve_nearest tries the KD-tree first at every n: _tree_pays samples
+# The dense step tries the KD-tree first at every n: _tree_pays samples
 # TREE_SAMPLE rows and takes the tree up to TREE_FAR_MAX. A step the tree does
 # not certify builds the n x n cost matrix while it holds at most
 # DENSE_BYTES_MAX bytes (n <= 8192); past the budget a blocked scan builds
 # BLOCK_BYTES of cost rows at a time. All four are measured in
 # BENCH_nearest_row.json, the tree within the budget in BENCH_tree_in_budget.json.
+# A stack of block matrices also holds at most DENSE_BYTES_MAX bytes, and a
+# single block larger than that takes the dense step.
 DENSE_BYTES_MAX = 2**29
 BLOCK_BYTES = 2**25
 TREE_SAMPLE = 64
@@ -61,6 +66,18 @@ def cKDTree(data):
     """``scipy.spatial.cKDTree`` over the rows of ``data``, imported on the first call."""
     from scipy.spatial import cKDTree as tree
     return tree(data)
+
+
+def _runs(sizes, max_entries: int):
+    """(first block, row offset, size, count) for runs of consecutive equal-size
+    blocks, each run holding at most max_entries matrix entries (or one block)."""
+    first = lo = 0
+    for size, run in groupby(sizes):
+        left, per = sum(1 for _ in run), max(1, max_entries // (size * size))
+        while left:
+            count = min(left, per)
+            yield first, lo, size, count
+            first, lo, left = first + count, lo + size * count, left - count
 
 
 def _solve_stack(R: np.ndarray, describe, maximize: bool = True) -> np.ndarray:
@@ -101,9 +118,10 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
     """Concatenated blockwise optima; result is block diagonal under the partition.
 
     Each block must be square of its partition size and finite. Each run of
-    consecutive equal-size blocks is stacked (a slice of a ``(b, s, s)`` array
-    is used as it is) and solved with the kernel of ``solve_lap``; the column
-    indices go straight into one index map, validated once at the end.
+    consecutive equal-size blocks is stacked, at most ``DENSE_BYTES_MAX`` bytes
+    at a time (a slice of a ``(b, s, s)`` array is used as it is), and solved
+    with the kernel of ``solve_lap``; the column indices go straight into one
+    index map, validated once at the end.
     """
     if len(C_blocks) != partition.block_count:
         raise ShapeMismatch(
@@ -114,15 +132,11 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
             raise ShapeMismatch(
                 f"block at offset {offset} must be {size}x{size}, got {np.shape(block)}")
     out = np.empty(partition.n, dtype=np.intp)
-    first = 0
-    for size, run in groupby(partition.sizes):
-        count = sum(1 for _ in run)
+    for first, lo, size, count in _runs(partition.sizes, DENSE_BYTES_MAX // 8):
         stack = np.asarray(C_blocks[first:first + count], dtype=np.float64)
         cols = _solve_stack(stack, lambda i: (
-            f"reward block at offset {offsets[first + i]} contains NaN or Inf entries"))
-        lo = offsets[first]
+            f"reward block at offset {lo + i * size} contains NaN or Inf entries"))
         out[lo:lo + count * size] = (cols + (lo + size * np.arange(count))[:, None]).ravel()
-        first += count
     return Permutation(out)
 
 
@@ -238,25 +252,10 @@ def _nearest_blocked(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np
     return cols
 
 
-def solve_nearest(Y: np.ndarray, Z: np.ndarray) -> Permutation:
-    """Permutation p minimizing sum_i ||y_i - z_{p.map[i]}||^2 over all permutations.
-
-    ``Y`` and ``Z`` are finite (n, m) arrays. Equivalently p maximizes the
-    reward sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
-    ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
-
-    Each row's best column is its nearest fitted row, found by a KD-tree when
-    ``_tree_pays``; distinct nearest rows are the optimum. Otherwise, while the
-    cost matrix fits ``DENSE_BYTES_MAX``, it is built once and goes to
-    ``solve_lap``, whose row argmins certify it or else scipy minimizes it.
-    Past the budget a blocked scan stands in for a declined tree, and
-    ``_warm_lap`` settles the rows that lost their nearest row. NonFinite if a
-    squared norm, distance or cost overflows.
-    """
+def _solve_dense(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> Permutation:
+    """The permutation minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
+    over all permutations: the dense step of ``solve_nearest``."""
     n = Y.shape[0]
-    half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
-    if not np.isfinite(half_norms).all():
-        raise NonFinite("fitted rows' squared norms contain NaN or Inf entries")
     dense = 8 * n * n <= DENSE_BYTES_MAX
     cols = None
     if _tree_pays(Y, Z, half_norms):
@@ -270,3 +269,48 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray) -> Permutation:
     if dense:
         return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
     return Permutation(_warm_lap(Y, Z, half_norms, cols))
+
+
+def solve_nearest(Y: np.ndarray, Z: np.ndarray,
+                  partition: BlockPartition | None = None) -> Permutation:
+    """Permutation p minimizing sum_i ||y_i - z_{p.map[i]}||^2 over all permutations,
+    or over those that are block diagonal under ``partition``.
+
+    ``Y`` and ``Z`` are finite (n, m) arrays, and ``partition`` covers their n
+    rows (else ShapeMismatch). Equivalently p maximizes the reward
+    sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
+    ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
+
+    Each row's best column is its nearest fitted row. Blocks whose cost
+    matrices fit ``DENSE_BYTES_MAX`` are stacked by runs of equal size, at most
+    ``Y.size`` entries at a time, and each stack is settled by the kernel of
+    ``solve_blockwise``. The dense step, without a partition or for a block
+    past the budget, asks a KD-tree for the nearest rows when ``_tree_pays``,
+    and distinct ones are the optimum. Otherwise, while the cost matrix fits
+    the budget, it is built once and goes to ``solve_lap``, whose row argmins
+    certify it or else scipy minimizes it. Past the budget a blocked scan
+    stands in for a declined tree, and ``_warm_lap`` settles the rows that
+    lost their nearest row. NonFinite if a squared norm, distance or cost
+    overflows; a stacked block's error names its row offset in ``Y``.
+    """
+    n, m = Y.shape
+    if partition is not None and partition.n != n:
+        raise ShapeMismatch(f"partition covers {partition.n} rows but Y has {n}")
+    half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    if not np.isfinite(half_norms).all():
+        raise NonFinite("fitted rows' squared norms contain NaN or Inf entries")
+    if partition is None:
+        return _solve_dense(Y, Z, half_norms)
+    out = np.empty(n, dtype=np.intp)
+    for _, lo, size, count in _runs(partition.sizes, min(Y.size, DENSE_BYTES_MAX // 8)):
+        hi = lo + size * count
+        if 8 * size * size > DENSE_BYTES_MAX:  # then count == 1
+            out[lo:hi] = _solve_dense(Y[lo:hi], Z[lo:hi], half_norms[lo:hi]).map + lo
+            continue
+        fit = Z[lo:hi].reshape(count, size, m)
+        cost = Y[lo:hi].reshape(count, size, m) @ fit.transpose(0, 2, 1)
+        np.subtract(half_norms[lo:hi].reshape(count, 1, size), cost, out=cost)
+        cols = _solve_stack(cost, lambda i: (
+            f"cost block at offset {lo + i * size} contains NaN or Inf entries"), maximize=False)
+        out[lo:hi] = (cols + (lo + size * np.arange(count))[:, None]).ravel()
+    return Permutation(out)

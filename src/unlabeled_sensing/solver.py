@@ -11,32 +11,18 @@ trace is nonincreasing. ``B`` is factored once per instance
 public half-steps ``permutation_update``, ``signal_update`` and ``objective``
 validate their input and run the same private steps as the loop.
 
-Both assignment steps maximize <y_i, z_j> - ||z_j||^2 / 2 with z = B X rather
-than <y_i, z_j>, the dense (k-sparse) step over all rows and the r-local step
-within each block. Every permutation uses each column once, so the column term
-adds the same constant to every permutation and the maximizers are unchanged.
-The reward is -||y_i - z_j||^2 / 2 plus a row constant, so a row's best column
-is its nearest fitted row. When those are distinct the row argmax is an exact
-optimum and ``assignment`` runs no LAP at all: every r-local block of a
-Gaussian instance certifies, and so do most dense steps after the first
-(``BENCH_row_certificate.json``). The dense step, ``assignment.solve_nearest``,
-asks a KD-tree for the nearest rows at any n when the fit is close, and
-distinct ones need no n x n matrix. A step they do not certify builds the
-n x n cost once (the reward negated in place, so scipy makes no copy) while it
-fits a memory budget. Past the budget it builds no n x n matrix: a blocked
-scan stands in for a declined tree, and where two rows share a nearest row, a
-warm-started augmenting-path LAP computes cost rows on demand
-(``BENCH_nearest_row.json``, ``BENCH_tree_in_budget.json``).
+Both assignment steps are one call, ``assignment.solve_nearest``, which
+matches each row of Y to a fitted row of B X at least total squared distance,
+over all permutations or within the blocks of the partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .assignment import solve_blockwise, solve_nearest
+from .assignment import solve_nearest
 from .collapse import build_collapsed, init_rlocal
 from .data import ProblemInstance
 from .errors import InvalidConfig, NonFinite, ShapeMismatch, TooFewIterations
@@ -83,37 +69,6 @@ def _objective_from_fit(Y: np.ndarray, y_fit: np.ndarray, p: Permutation) -> flo
     return float(np.sum(diff * diff))
 
 
-def _chunks(partition: BlockPartition, max_entries: int):
-    """(offset, size, count) for runs of consecutive equal-size blocks, each run
-    holding at most max_entries reward entries (or a single block)."""
-    lo = 0
-    for size, run in groupby(partition.sizes):
-        left, per = sum(1 for _ in run), max(1, max_entries // (size * size))
-        while left:
-            count = min(left, per)
-            yield lo, size, count
-            lo, left = lo + size * count, left - count
-
-
-def _assign(Y: np.ndarray, y_fit: np.ndarray,
-            partition: BlockPartition | None) -> Permutation:
-    """Assignment step given the current fitted measurements y_fit = B @ X."""
-    if partition is None:
-        return solve_nearest(Y, y_fit)
-    # <y_i, z_j> - ||z_j||^2 / 2 with z = y_fit: the column term is the same
-    # for every permutation of a block, so the maximizers are those of <y_i, z_j>.
-    half_norms = 0.5 * np.einsum("ij,ij->i", y_fit, y_fit)
-    out = np.empty(partition.n, dtype=np.intp)
-    m = Y.shape[1]
-    for lo, size, count in _chunks(partition, Y.size):
-        hi = lo + size * count
-        fit = y_fit[lo:hi].reshape(count, size, m)
-        reward = Y[lo:hi].reshape(count, size, m) @ fit.transpose(0, 2, 1)
-        reward -= half_norms[lo:hi].reshape(count, 1, size)
-        out[lo:hi] = solve_blockwise(reward, BlockPartition((size,) * count)).map + lo
-    return Permutation(out)
-
-
 def _signal(b_svd: SvdFactors, Y: np.ndarray, p: Permutation) -> np.ndarray:
     """Least-squares step pinv(B) @ P^T Y from the factors of B."""
     return b_svd.solve(apply(p.inverse(), Y))
@@ -144,22 +99,13 @@ def objective(B, Y, p: Permutation, X) -> float:
 
 @_quiet_overflow
 def permutation_update(B, Y, X, partition: BlockPartition | None = None) -> Permutation:
-    """Exact minimizer of F(X, .) over the admissible permutation set.
-
-    The reward is Y @ (B X)^T minus half the squared row norms of B X from
-    each column, one dense assignment without a partition and one per block
-    with one: the same maximizers, since each permutation collects every
-    column term once, and each row's best column is its nearest fitted row,
-    so the row argmax is often the optimum outright. The dense step
-    (``assignment.solve_nearest``) finds those rows by a KD-tree when the fit
-    is close, and never builds an n x n matrix past its memory budget.
-    NonFinite if the reward, or a squared norm, distance or cost of the dense
-    step, overflows.
+    """Exact minimizer of F(X, .) over the admissible permutation set:
+    ``assignment.solve_nearest`` of Y against B X, within the blocks of
+    ``partition`` when one is given. NonFinite if a squared norm, distance or
+    cost overflows.
     """
     B, Y, X = _matrices(B, Y, X)
-    if partition is not None and partition.n != Y.shape[0]:
-        raise ShapeMismatch(f"partition covers {partition.n} rows but Y has {Y.shape[0]}")
-    return _assign(Y, B @ X, partition)
+    return solve_nearest(Y, B @ X, partition)
 
 
 def signal_update(B, Y, p: Permutation) -> np.ndarray:
@@ -204,7 +150,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
         partition = instance.partition
         if partition is None:
             raise InvalidConfig("rlocal mode requires an instance with a partition")
-        p_hat = _assign(Y, B @ init_rlocal(build_collapsed(B, Y, partition)), partition)
+        p_hat = solve_nearest(Y, B @ init_rlocal(build_collapsed(B, Y, partition)), partition)
     else:
         # The first reward would be Y Y^T, and by Cauchy-Schwarz every maximizer
         # has P^T Y = Y: the identity is an exact first step.
@@ -223,7 +169,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolveResult:
             len(trace) >= 2 and relative_change(trace) <= config.epsilon)
         if converged or len(trace) == config.max_iters:
             break
-        p_hat = _assign(Y, y_fit, partition)
+        p_hat = solve_nearest(Y, y_fit, partition)
     return SolveResult(
         p_hat=p_hat,
         x_hat=x_hat,

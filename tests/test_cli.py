@@ -22,6 +22,7 @@ from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _re
                                    build_parser, main)
 from unlabeled_sensing.data import load_bundle, read_matrix_csv, write_matrix_csv
 from unlabeled_sensing.errors import InvalidConfig
+from unlabeled_sensing.permutation import Permutation
 
 
 def run(argv):
@@ -603,7 +604,7 @@ def test_solve_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypat
                 "--sigma", 0.1, "--seed", 3, "--out", bundle]) == 0
     capsys.readouterr()
 
-    def exhausted(Y, Z):
+    def exhausted(Y, Z, partition):
         raise MemoryError("Unable to allocate 6.71 GiB for an array with shape "
                           "(30000, 30000) and data type float64")
 
@@ -619,26 +620,48 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
 
+def _run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` on this checkout's package under a 3 GiB
+    address-space cap. The cap assumes one BLAS thread: each thread of the
+    pool adds its own buffer and stack to the address space, so the pool is
+    pinned to measure the solver's arrays and not the host's core count."""
+    env = {**os.environ, **{name: "1" for name in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+           "PYTHONPATH": str(Path(unlabeled_sensing.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=600,
+                          preexec_fn=_cap_address_space, capture_output=True, text=True)
+
+
 def test_large_ksparse_solve_fits_a_3gb_address_space(tmp_path):
     # Two n x n float64 arrays at n = 30000 take 14.4 GB; the dense step built
     # both and ended in numpy's _ArrayMemoryError. The KD-tree and the warm
     # start (one row lost its nearest fitted row on seed 1) need O(n m).
-    # The 3 GiB cap assumes one BLAS thread: each thread of the pool adds its
-    # own buffer and stack to the address space, so the pool is pinned to
-    # measure the solver's arrays and not the host's core count.
     code = "import sys; from unlabeled_sensing.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {**os.environ, **{name: "1" for name in
-                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-           "PYTHONPATH": str(Path(unlabeled_sensing.__file__).resolve().parents[1])}
     bundle = tmp_path / "bundle"
     for argv in (["synth", "--n", "30000", "--d", "50", "--m", "10", "--model", "ksparse",
                   "--k", "3000", "--seed", "1", "--out", str(bundle)],
                  ["solve", str(bundle)]):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=600,
-                              preexec_fn=_cap_address_space, capture_output=True, text=True)
+        proc = _run_capped(code, *argv)
         assert proc.returncode == 0, proc.stderr
     result = json.loads((bundle / "result.json").read_text())
     assert result["converged"] and result["metrics"]["frac_distortion"] == 0.0
+
+
+def test_rlocal_block_past_the_memory_budget_fits_a_3gb_address_space():
+    # One block of 20000 rows: its 20000 x 20000 cost stack (3 GiB) ended in
+    # a MemoryError under this cap. A block past the budget takes the dense
+    # step, which certifies this close fit by KD-tree in O(n m) memory.
+    code = """
+from unlabeled_sensing.data import SynthConfig, generate
+from unlabeled_sensing.permutation import BlockPartition, RLocal
+from unlabeled_sensing.solver import permutation_update
+part = BlockPartition((20000,))
+inst = generate(SynthConfig(n=20000, d=50, m=10, model=RLocal(part), sigma=0.01, seed=1))
+p = permutation_update(inst.B, inst.Y, inst.x_star, part)
+assert (p.map == inst.p_star.map).all()
+"""
+    proc = _run_capped(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("model,option", [("rlocal", "--r"), ("ksparse", "--k")])
@@ -840,25 +863,47 @@ def test_bench_ledger_hash_is_pinned_and_config_file_matches_flags(tmp_path):
     assert ledger("config") == from_flags
 
 
-def _benchmark_workloads():
-    """``perfbench/workloads.py`` imported by path; the benchmark is not a package."""
-    name = "perfbench_workloads"
+def _perfbench(module: str):
+    """``perfbench/<module>.py`` imported by path; the benchmark is not a package."""
+    name = f"perfbench_{module}"
     if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{module}.py"
         spec = importlib.util.spec_from_file_location(name, path)
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].WORKLOADS
+    return sys.modules[name]
 
 
-@pytest.mark.parametrize("name", sorted(_benchmark_workloads()))
+@pytest.mark.parametrize("name", sorted(_perfbench("workloads").WORKLOADS))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_benchmark_command_lines_parse_and_resolve(tmp_path, name, threads):
-    workload = _benchmark_workloads()[name](1, tmp_path)
+    workload = _perfbench("workloads").WORKLOADS[name](1, tmp_path)
     workload.bundle = tmp_path / "bundle"  # where set-up writes the bundle_solve input
     opts = _resolve(build_parser().parse_args(workload.argv(0, threads)))
     if workload.threads_flag:
         assert opts["threads"] == threads
+
+
+def test_every_function_the_benchmark_traces_resolves_in_its_module():
+    # ``--trace 1`` wraps these names where the package binds them; a renamed
+    # or deleted one would stop the traced run.
+    for module, attr, _ in _perfbench("tracing").FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"unlabeled_sensing.{module}"), attr,
+                                None)), f"{module}.{attr}"
+
+
+def test_benchmark_tracer_wraps_and_restores_every_original():
+    modules = {name: module for name, module in sys.modules.items()
+               if name.split(".")[0] == "unlabeled_sensing"}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    init, checks = Permutation.__init__, dict(CHECK_FUNCS)
+    with _perfbench("tracing").Tracer().installed():
+        assert solver.solve is not before["unlabeled_sensing.solver"]["solve"]
+        assert Permutation.__init__ is not init
+        assert all(CHECK_FUNCS[name] is not fn for name, fn in checks.items())
+    for name, module in modules.items():
+        assert all(vars(module)[key] is value for key, value in before[name].items()), name
+    assert Permutation.__init__ is init and CHECK_FUNCS == checks
 
 
 def _readme_command_lines():

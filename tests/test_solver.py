@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from _oracles import (all_permutations, brute_force_lap, brute_force_min_objective,
                       reference_solve)
 from unlabeled_sensing import assignment, data, linalg, solver
-from unlabeled_sensing.assignment import solve_lap
+from unlabeled_sensing.assignment import solve_blockwise, solve_lap
 from unlabeled_sensing.cli import _result_metrics
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
 from unlabeled_sensing.data import SynthConfig, generate
@@ -161,6 +161,61 @@ def test_blockwise_permutation_update_attains_the_enumerated_minimum(case, cuts)
         assert got <= values.min() + 1e-12 * (np.sum(yb * yb) + np.sum(zb * zb))
 
 
+def test_blockwise_step_in_chunks_equals_solve_blockwise_on_the_block_rewards(monkeypatch):
+    # At m = 1 a chunk holds at most n = 29 cost entries: the run of five
+    # 3-blocks is settled as stacks of 3 and 2 and each 4-block alone. Small
+    # integers make every product exact and tie often, so the block rewards
+    # built one by one are the chunked costs negated bit for bit, and the
+    # blocks that tie go to scipy on both sides with the same map.
+    part = BlockPartition((3, 3, 3, 3, 3, 2, 4, 4, 4))
+    rng = np.random.default_rng(13)
+    Y = rng.integers(-2, 3, (part.n, 1)).astype(np.float64)
+    Z = rng.integers(-2, 3, (part.n, 1)).astype(np.float64)
+    half_norms = 0.5 * Z[:, 0] ** 2
+    rewards = [Y[sl] @ Z[sl].T - half_norms[sl] for sl in part.slices()]
+    calls = _count_scipy_calls(monkeypatch)
+    expected = solve_blockwise(rewards, part).map
+    assert calls
+    stacks, real = [], assignment._solve_stack
+    monkeypatch.setattr(assignment, "_solve_stack",
+                        lambda R, *a, **kw: stacks.append(R.shape) or real(R, *a, **kw))
+    assert np.array_equal(assignment.solve_nearest(Y, Z, part).map, expected)
+    assert stacks == [(3, 3, 3), (2, 3, 3), (1, 2, 2), (1, 4, 4), (1, 4, 4), (1, 4, 4)]
+
+
+def test_solve_nearest_partition_not_covering_the_rows_is_shape_mismatch():
+    Y = np.ones((12, 2))
+    with pytest.raises(ShapeMismatch, match="partition covers 8 rows but Y has 12"):
+        assignment.solve_nearest(Y, Y, BlockPartition((4, 4)))
+    with pytest.raises(ShapeMismatch, match="partition covers 8 rows but Y has 12"):
+        permutation_update(np.ones((12, 1)), Y, np.ones((1, 2)), BlockPartition((4, 4)))
+
+
+@pytest.mark.parametrize("tree", [True, False])
+def test_block_past_the_memory_budget_takes_the_dense_step(monkeypatch, tree):
+    # With a budget below 100 x 100 cost entries, the two 100-row blocks take
+    # the dense step on their own rows: the tree or, when it is declined, the
+    # blocked scan, then the warm start for the rows that share a nearest row;
+    # no cost matrix goes to solve_lap. The small blocks are stacked within
+    # the budget and never reach the tree. Random fits have one optimum per
+    # block, which scipy finds on each block's cost.
+    part = BlockPartition((3, 3, 100, 4, 100))
+    rng = np.random.default_rng(11)
+    Y, Z = rng.standard_normal((part.n, 3)), rng.standard_normal((part.n, 3))
+    expected = np.concatenate([
+        linear_sum_assignment(0.5 * np.einsum("ij,ij->i", Z[sl], Z[sl]) - Y[sl] @ Z[sl].T)[1]
+        + sl.start for sl in part.slices()])
+    asked, warm = [], []
+    real_warm = assignment._warm_lap
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 8 * 99 * 99)
+    monkeypatch.setattr(assignment, "solve_lap", _no_call)
+    monkeypatch.setattr(assignment, "_tree_pays", lambda Y, *a: asked.append(len(Y)) or tree)
+    monkeypatch.setattr(assignment, "_warm_lap",
+                        lambda *a: warm.append(1) or real_warm(*a))
+    assert np.array_equal(assignment.solve_nearest(Y, Z, part).map, expected)
+    assert asked == [100, 100] and len(warm) == 2
+
+
 def _count_scipy_calls(monkeypatch) -> list:
     calls = []
     real = assignment.linear_sum_assignment
@@ -187,8 +242,8 @@ def test_gaussian_rlocal_solve_runs_no_scipy_lap(monkeypatch):
 def test_ksparse_solve_skips_scipy_on_some_assignment_steps(monkeypatch):
     calls = _count_scipy_calls(monkeypatch)
     steps = []
-    real_assign = solver._assign
-    monkeypatch.setattr(solver, "_assign", lambda *a: steps.append(1) or real_assign(*a))
+    real = solver.solve_nearest
+    monkeypatch.setattr(solver, "solve_nearest", lambda *a: steps.append(1) or real(*a))
     inst = generate(SynthConfig(n=300, d=10, m=5, model=KSparse(30), sigma=0.01, seed=0))
     result = solve(inst, SolverConfig(mode="ksparse"))
     assert len(steps) == result.iters - 1 >= 2
@@ -358,7 +413,7 @@ def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
     steps = []
     real = solver.solve_nearest
     monkeypatch.setattr(solver, "solve_nearest",
-                        lambda Y, Z: steps.append(Z) or real(Y, Z))
+                        lambda Y, Z, partition: steps.append(Z) or real(Y, Z, partition))
     inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
     solve(inst, SolverConfig(mode="ksparse"))
     uncertified = 0
@@ -392,6 +447,16 @@ def test_permutation_update_overflow_is_non_finite_error(partition):
     B, X, Y = rng.standard_normal((6, 2)), rng.standard_normal((2, 2)), rng.standard_normal((6, 2))
     with pytest.raises(NonFinite, match="NaN or Inf"):
         permutation_update(1e154 * B, 1e154 * Y, X, partition)
+
+
+def test_rlocal_non_finite_cost_names_the_block_offset_in_y():
+    # Row 5 overflows its cost row; it lies in the block of rows 4-6, the
+    # first block of the chunk of 3-blocks, and the error names row 4.
+    rng = np.random.default_rng(10)
+    B, X, Y = rng.uniform(1, 2, (10, 2)), np.ones((2, 2)), rng.standard_normal((10, 2))
+    Y[5] = 1e308
+    with pytest.raises(NonFinite, match="cost block at offset 4 contains NaN or Inf"):
+        permutation_update(B, Y, X, BlockPartition((2, 2, 3, 3)))
 
 
 def test_permutation_update_single_block_equals_dense():

@@ -14,27 +14,29 @@ rows of ``Y`` to fitted rows ``Z`` at least total squared distance, over all
 permutations or within the blocks of a partition. Each row's best column is its
 nearest fitted row. Blocks that fit a memory budget are solved as stacks of
 in-place cost matrices by the kernel above. The dense step, and a block past
-the budget, asks a KD-tree for the nearest rows when the fit is close, in
-O(n log n) time and O(n m) memory at any n; distinct nearest rows are the
-optimum outright, with no n x n matrix. A step whose nearest rows collide, or
-whose fit is too far for the tree to pay, builds the n x n cost matrix in
-place while it fits the budget, and ``solve_lap`` certifies it by its row
-argmins or scipy minimizes it with no negated copy. Past the budget no n x n
-matrix is built: a scan of blocks of cost rows stands in for a declined tree,
-and a warm-started augmenting-path search settles the rows that share a
-nearest row, computing the cost rows it scans on demand.
+the budget, finds the nearest rows in O(n m) memory at any n: by a KD-tree when
+the fit is close, else by a scan of a few MiB of cost rows at a time. Distinct
+nearest rows are the optimum outright. A step whose nearest rows collide goes
+to ``_warm_lap``: augmenting row reduction, then shortest augmenting paths,
+both computing the cost rows they scan on demand, so no n x n matrix is built.
+Only a step that fits the budget and that the row reduction leaves far from
+done builds its n x n cost matrix in place, and scipy minimizes it with no
+negated copy.
 
 scipy is imported on the first call that needs it, not with this module.
 Loading ``scipy.optimize`` and ``scipy.spatial`` costs a fresh process about
 0.6 s and 45 MB of resident memory, and most commands never call either: the
-theory checks run no assignment, and the blocks of a Gaussian r-local solve
-are all certified by their row argmaxes. ``linear_sum_assignment`` and
+theory checks run no assignment, the blocks of a Gaussian r-local solve are
+all certified by their row argmaxes, and a k-sparse solve away from k = n
+mostly settles every step without scipy's LAP. ``linear_sum_assignment`` and
 ``cKDTree`` stay module-level names, so every call goes through this module's
 globals and a test can still replace them.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from itertools import groupby
 
 import numpy as np
@@ -43,17 +45,23 @@ from .errors import NonFinite, ShapeMismatch
 from .permutation import BlockPartition, Permutation
 
 # The dense step tries the KD-tree first at every n: _tree_pays samples
-# TREE_SAMPLE rows and takes the tree up to TREE_FAR_MAX. A step the tree does
-# not certify builds the n x n cost matrix while it holds at most
-# DENSE_BYTES_MAX bytes (n <= 8192); past the budget a blocked scan builds
-# BLOCK_BYTES of cost rows at a time. All four are measured in
-# BENCH_nearest_row.json, the tree within the budget in BENCH_tree_in_budget.json.
-# A stack of block matrices also holds at most DENSE_BYTES_MAX bytes, and a
-# single block larger than that takes the dense step.
+# TREE_SAMPLE rows and takes the tree up to TREE_FAR_MAX (BENCH_nearest_row.json,
+# BENCH_tree_in_budget.json); a declined tree is replaced by a scan that builds
+# BLOCK_BYTES of cost rows at a time, as fast as one n x n matrix. A step whose
+# nearest rows collide runs at most ARR_STEPS * n steps of augmenting row
+# reduction, and shortest augmenting paths settle the rows it leaves free. But a
+# step whose cost matrix holds at most DENSE_BYTES_MAX bytes (n <= 8192) and
+# that has more than ARR_LEFT_MAX * n rows free at the cap builds that matrix
+# for scipy, which is 3-7x faster than the paths near k = n. The two ARR
+# constants are measured in BENCH_row_reduction.json. A stack of block matrices
+# also holds at most DENSE_BYTES_MAX bytes, and a single block larger than that
+# takes the dense step.
 DENSE_BYTES_MAX = 2**29
-BLOCK_BYTES = 2**25
+BLOCK_BYTES = 2**22
 TREE_SAMPLE = 64
 TREE_FAR_MAX = 4.0
+ARR_STEPS = 2
+ARR_LEFT_MAX = 1 / 32
 
 
 def linear_sum_assignment(cost_matrix, maximize=False):
@@ -141,32 +149,113 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
 
 
 def _warm_lap(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray,
-              cols: np.ndarray) -> np.ndarray:
+              cols: np.ndarray) -> np.ndarray | None:
     """Column map minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
-    started from ``cols``, each row's best column.
+    started from ``cols``, each row's best column; or None when the step's cost
+    matrix fits DENSE_BYTES_MAX and the row reduction leaves more than
+    ARR_LEFT_MAX * n rows free, for the caller to hand that matrix to scipy.
 
-    Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016, the
-    algorithm of scipy's ``linear_sum_assignment``) from a warm start: the
-    first row to claim a column keeps it, with duals u_i = C[i, cols[i]] and
-    v = 0. They are feasible and tight on every kept edge, so only the rows
-    left without a column need a path. A search computes each cost row it
-    scans when it scans it, so memory stays O(n m).
+    The first row to claim a column keeps it. The duals are column prices
+    p = half_norms - v, starting at half_norms (v = 0), and row values u, with
+    u_i = C[i, x_i] - v[x_i] for a row holding column x_i: row i's reduced cost
+    at column j is p[j] - <y_i, z_j> - u_i. ``_reduce_rows`` settles most free
+    rows and ``_augment`` the rest. Both keep every assigned row holding a
+    minimizer of C[i, .] - v, so the duals stay feasible and tight on every
+    assigned edge (complementary slackness), and the map they end with is an
+    exact optimum. Each computes a cost row when it processes or scans that
+    row, so memory stays O(n m).
     """
     n = Y.shape[0]
     taken, first = np.unique(cols, return_index=True)
     row4col = np.full(n, -1, dtype=np.intp)
     col4row = np.full(n, -1, dtype=np.intp)
     row4col[taken], col4row[first] = first, taken
-    u = half_norms[cols] - np.einsum("ij,ij->i", Y, Z[cols])
-    v = np.zeros(n)
+    prices = half_norms.copy()
+    u = np.zeros(n)
+    u[first] = half_norms[taken] - np.einsum("ij,ij->i", Y[first], Z[taken])
+    free = _reduce_rows(Y, Z, prices, u, row4col, col4row)
+    if free and 8 * n * n <= DENSE_BYTES_MAX and len(free) > ARR_LEFT_MAX * n:
+        return None
+    _augment(Y, Z, prices, u, row4col, col4row, free)
+    return col4row
+
+
+def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,
+                 row4col: np.ndarray, col4row: np.ndarray) -> list[int]:
+    """Augmenting row reduction (Jonker & Volgenant 1987) of the free rows of
+    ``col4row``, in place, for at most ARR_STEPS * n steps; the rows left free.
+
+    A step takes a free row i and its least reduced-cost column j1. With a gap
+    to its second-best column j2, it raises p[j1] by that gap and takes j1, and
+    the row that held j1 is processed next: an auction with zero increment. On
+    a tie it takes a free column among its minimizers, or else j2, and the row
+    that held j2 waits at the back of the queue. Prices only rise, only on the
+    column a row takes, and float subtraction is monotone, so every other
+    assigned row still holds a minimizer of its reduced costs. A raise that
+    rounds j1 above j2 for row i itself is lowered an ulp at a time until j1 is
+    again a minimizer. Ties can displace rows in a cycle forever, which the
+    step cap ends.
+    """
+    n = Y.shape[0]
+    free = deque(np.flatnonzero(col4row < 0).tolist())
+    dot, red = np.empty(n), np.empty(n)
+    tied = np.empty(n, dtype=bool)
+    for _ in range(ARR_STEPS * n):
+        if not free:
+            break
+        i = free.popleft()
+        np.matmul(Z, Y[i], out=dot)
+        np.subtract(prices, dot, out=red)
+        j1 = int(red.argmin())
+        u1 = float(red[j1])
+        red[j1] = np.inf
+        j2 = int(red.argmin())
+        u2 = float(red[j2])
+        if not (math.isfinite(u1) and math.isfinite(u2)):
+            raise NonFinite("cost matrix contains NaN or Inf entries")
+        if u1 < u2:
+            d1 = float(dot[j1])
+            price = float(prices[j1]) + (u2 - u1)
+            while price - d1 > u2:
+                price = math.nextafter(price, -math.inf)
+            prices[j1] = price
+            u[i] = price - d1
+        else:
+            u[i] = u1
+            if row4col[j1] >= 0:
+                red[j1] = u1
+                np.equal(red, u1, out=tied)
+                tied &= row4col < 0
+                j1 = int(tied.argmax()) if tied.any() else j2
+        i0 = int(row4col[j1])
+        row4col[j1], col4row[i] = i, j1
+        if i0 >= 0:
+            col4row[i0] = -1
+            if u1 < u2:
+                free.appendleft(i0)
+            else:
+                free.append(i0)
+    return list(free)
+
+
+def _augment(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,
+             row4col: np.ndarray, col4row: np.ndarray, free: list[int]) -> None:
+    """Assign each row of ``free`` by a shortest augmenting path, in place.
+
+    The paths of Jonker & Volgenant (1987) and Crouse (2016), the algorithm of
+    scipy's ``linear_sum_assignment``: a Dijkstra search over reduced costs
+    from the free row to a free column, then a dual update that keeps the
+    duals feasible and tight on every assigned edge.
+    """
+    n = Y.shape[0]
     dist, hv, r = np.empty(n), np.empty(n), np.empty(n)
     better = np.empty(n, dtype=bool)
     path = np.empty(n, dtype=np.intp)
-    for cur in np.flatnonzero(col4row < 0):
+    for cur in free:
         # dist[j]: the shortest reduced path from row cur to column j found so
-        # far; hv = half_norms - v, set to inf once column j is scanned.
+        # far; hv holds the prices, set to inf once column j is scanned.
         dist.fill(np.inf)
-        np.subtract(half_norms, v, out=hv)
+        np.copyto(hv, prices)
         i, low = cur, 0.0
         scanned, lows = [], []
         while True:
@@ -194,7 +283,7 @@ def _warm_lap(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray,
         J, L = np.asarray(scanned), np.asarray(lows)
         u[cur] += low
         u[row4col[J[:-1]]] += low - L[:-1]
-        v[J] -= low - L
+        prices[J] += low - L
         j = J[-1]
         while True:
             i = path[j]
@@ -202,7 +291,6 @@ def _warm_lap(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray,
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return col4row
 
 
 def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
@@ -256,19 +344,18 @@ def _solve_dense(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> Permut
     """The permutation minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
     over all permutations: the dense step of ``solve_nearest``."""
     n = Y.shape[0]
-    dense = 8 * n * n <= DENSE_BYTES_MAX
-    cols = None
     if _tree_pays(Y, Z, half_norms):
         dist, cols = cKDTree(Z).query(Y)
         if not np.isfinite(dist).all():
             raise NonFinite("nearest-row distances contain NaN or Inf entries")
-    elif not dense:
+    else:
         cols = _nearest_blocked(Y, Z, half_norms)
-    if cols is not None and np.unique(cols).size == n:
+    if np.unique(cols).size == n:
         return Permutation(cols)
-    if dense:
+    warm = _warm_lap(Y, Z, half_norms, cols)
+    if warm is None:
         return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
-    return Permutation(_warm_lap(Y, Z, half_norms, cols))
+    return Permutation(warm)
 
 
 def solve_nearest(Y: np.ndarray, Z: np.ndarray,
@@ -286,12 +373,12 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     ``Y.size`` entries at a time, and each stack is settled by the kernel of
     ``solve_blockwise``. The dense step, without a partition or for a block
     past the budget, asks a KD-tree for the nearest rows when ``_tree_pays``,
-    and distinct ones are the optimum. Otherwise, while the cost matrix fits
-    the budget, it is built once and goes to ``solve_lap``, whose row argmins
-    certify it or else scipy minimizes it. Past the budget a blocked scan
-    stands in for a declined tree, and ``_warm_lap`` settles the rows that
-    lost their nearest row. NonFinite if a squared norm, distance or cost
-    overflows; a stacked block's error names its row offset in ``Y``.
+    else scans blocks of cost rows, and distinct nearest rows are the optimum.
+    Otherwise ``_warm_lap`` settles the rows that lost their nearest row; only
+    when the cost matrix fits the budget and the row reduction leaves the step
+    far from done is that matrix built, once, for scipy through ``solve_lap``.
+    NonFinite if a squared norm, distance or cost overflows; a block's error
+    names its row offset in ``Y``.
     """
     n, m = Y.shape
     if partition is not None and partition.n != n:
@@ -305,7 +392,11 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     for _, lo, size, count in _runs(partition.sizes, min(Y.size, DENSE_BYTES_MAX // 8)):
         hi = lo + size * count
         if 8 * size * size > DENSE_BYTES_MAX:  # then count == 1
-            out[lo:hi] = _solve_dense(Y[lo:hi], Z[lo:hi], half_norms[lo:hi]).map + lo
+            try:
+                block = _solve_dense(Y[lo:hi], Z[lo:hi], half_norms[lo:hi])
+            except NonFinite:
+                raise NonFinite(f"cost block at offset {lo} contains NaN or Inf entries") from None
+            out[lo:hi] = block.map + lo
             continue
         fit = Z[lo:hi].reshape(count, size, m)
         cost = Y[lo:hi].reshape(count, size, m) @ fit.transpose(0, 2, 1)

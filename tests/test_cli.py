@@ -616,20 +616,18 @@ def test_solve_out_of_memory_is_one_line_usage_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
-
-
-def _run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """``python -c code *argv`` on this checkout's package under a 3 GiB
-    address-space cap. The cap assumes one BLAS thread: each thread of the
-    pool adds its own buffer and stack to the address space, so the pool is
-    pinned to measure the solver's arrays and not the host's core count."""
+def _run_capped(code: str, *argv: str, limit: int = 3 * 2**30) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` on this checkout's package under an
+    address-space cap of ``limit`` bytes. The cap assumes one BLAS thread:
+    each thread of the pool adds its own buffer and stack to the address
+    space, so the pool is pinned to measure the solver's arrays and not the
+    host's core count."""
     env = {**os.environ, **{name: "1" for name in
                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
            "PYTHONPATH": str(Path(unlabeled_sensing.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=600,
-                          preexec_fn=_cap_address_space, capture_output=True, text=True)
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+                          capture_output=True, text=True)
 
 
 def test_large_ksparse_solve_fits_a_3gb_address_space(tmp_path):
@@ -642,6 +640,23 @@ def test_large_ksparse_solve_fits_a_3gb_address_space(tmp_path):
                   "--k", "3000", "--seed", "1", "--out", str(bundle)],
                  ["solve", str(bundle)]):
         proc = _run_capped(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+    result = json.loads((bundle / "result.json").read_text())
+    assert result["converged"] and result["metrics"]["frac_distortion"] == 0.0
+
+
+def test_colliding_ksparse_solve_within_the_budget_builds_no_cost_matrix(tmp_path):
+    # n = 8000 is within the 512 MiB budget, so a colliding k = n/2 step used
+    # to build the 8000 x 8000 cost matrix for scipy: the solve peaked at 757
+    # MiB of address space with one BLAS thread on a 2-core x86-64 VM. Row
+    # reduction settles it in O(n m) memory, and synth plus solve peaked at
+    # 163 MiB there, so a cap of the matrix's own 512 MiB leaves 349 MiB.
+    code = "import sys; from unlabeled_sensing.cli import main; sys.exit(main(sys.argv[1:]))"
+    bundle = tmp_path / "bundle"
+    for argv in (["synth", "--n", "8000", "--d", "50", "--m", "10", "--model", "ksparse",
+                  "--k", "4000", "--seed", "1", "--out", str(bundle)],
+                 ["solve", str(bundle)]):
+        proc = _run_capped(code, *argv, limit=2**29)
         assert proc.returncode == 0, proc.stderr
     result = json.loads((bundle / "result.json").read_text())
     assert result["converged"] and result["metrics"]["frac_distortion"] == 0.0

@@ -67,25 +67,42 @@ print(json.dumps({"rc": rc, "loaded": loaded}))
     assert json.loads((tmp_path / "bundle" / "result.json").read_text())["mode"] == "rlocal"
 
 
-def test_colliding_ksparse_solve_loads_scipy_and_writes_the_in_process_bytes(tmp_path):
-    # At k = n/2 some steps' nearest fitted rows collide, so scipy's LAP runs;
-    # at m = 5 the fit is close enough for the KD-tree to be taken as well.
+def test_colliding_ksparse_solve_loads_only_scipy_spatial_and_writes_the_in_process_bytes(
+        tmp_path):
+    # At k = n/2 the first step's nearest fitted rows collide and the warm
+    # start settles them without scipy's LAP; the later steps' fits are close
+    # enough for the KD-tree. So scipy.optimize is never loaded.
     bundle = tmp_path / "bundle"
-    assert run(["synth", "--n", 200, "--d", 10, "--m", 5, "--model", "ksparse", "--k", 100,
+    assert run(["synth", "--n", 200, "--d", 10, "--m", 10, "--model", "ksparse", "--k", 100,
                 "--sigma", 0.01, "--seed", 1, "--out", bundle]) == 0
     got = fresh("""
 from unlabeled_sensing import assignment
 pays, real = [], assignment._tree_pays
 assignment._tree_pays = lambda *a: pays.append(real(*a)) or pays[-1]
+warm, real_warm = [], assignment._warm_lap
+assignment._warm_lap = lambda *a: warm.append(1) or real_warm(*a)
 rc = run("solve", sys.argv[1], "--out", sys.argv[2])
-print(json.dumps({"rc": rc, "tree": any(pays), "loaded": scipy()}))
+print(json.dumps({"rc": rc, "tree": any(pays), "warm": len(warm), "loaded": scipy()}))
 """, bundle, tmp_path / "fresh")
-    assert got["rc"] == 0 and got["tree"]
-    assert {"scipy.optimize", "scipy.spatial"} <= set(got["loaded"])
+    assert got["rc"] == 0 and got["tree"] and got["warm"] >= 1
+    assert "scipy.spatial" in got["loaded"] and "scipy.optimize" not in got["loaded"]
     assert run(["solve", bundle, "--out", tmp_path / "in_process"]) == 0
     for name in ("P_hat.json", "X_hat.csv", "result.json"):
         assert ((tmp_path / "fresh" / name).read_bytes()
                 == (tmp_path / "in_process" / name).read_bytes()), name
+
+
+def test_ksparse_step_left_far_from_done_loads_scipy_optimize(tmp_path):
+    # At k = n - 1 row reduction leaves most free rows free at its cap, so
+    # within the memory budget the cost matrix goes to scipy's LAP.
+    bundle = tmp_path / "bundle"
+    assert run(["synth", "--n", 200, "--d", 10, "--m", 5, "--model", "ksparse", "--k", 199,
+                "--sigma", 0.01, "--seed", 1, "--out", bundle]) == 0
+    got = fresh("""
+rc = run("solve", sys.argv[1], "--out", sys.argv[2])
+print(json.dumps({"rc": rc, "loaded": scipy()}))
+""", bundle, tmp_path / "fresh")
+    assert got["rc"] == 0 and "scipy.optimize" in got["loaded"]
 
 
 def _without_wall_ms(out: Path) -> list:
@@ -106,7 +123,8 @@ def _without_wall_ms(out: Path) -> list:
 def test_first_scipy_import_inside_two_bench_threads_changes_no_row(tmp_path):
     # scipy is first imported inside the pool's two worker threads, which the
     # in-process threads test cannot reach once the test process has scipy.
-    argv = ["bench", "--sweep", "k", "--grid", "20,100", "--seeds", 2, "--n", 200]
+    # At k = 199 row reduction leaves steps far from done, so scipy's LAP runs.
+    argv = ["bench", "--sweep", "k", "--grid", "20,100,199", "--seeds", 2, "--n", 200]
     got = fresh("""
 before = scipy()
 rc = run(*sys.argv[1:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,8 @@ def test_dense_permutation_update_attains_the_enumerated_minimum(case):
     # The dense step minimizes sum_i ||y_i - z_p(i)||^2 (z = B X); over all n!
     # permutations it must attain min_P ||Y - P B X||_F^2, and so must each of
     # its routes on its own: the KD-tree certificate when the nearest rows are
-    # distinct, the warm-started search from them, and the cost-form LAP.
+    # distinct, the warm start from them (row reduction, then augmenting paths,
+    # as past the memory budget), and the cost-form LAP.
     B, Y, X = case
     z = B @ X
     perms = all_permutations(Y.shape[0])
@@ -127,7 +130,9 @@ def test_dense_permutation_update_attains_the_enumerated_minimum(case):
         assert value(nearest) <= best + slack
     blocked = assignment._nearest_blocked(Y, z, half_norms)
     assert np.array_equal(cost[rows, blocked], cost.min(axis=1))
-    assert value(assignment._warm_lap(Y, z, half_norms, nearest)) <= best + slack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment, "DENSE_BYTES_MAX", 0)
+        assert value(assignment._warm_lap(Y, z, half_norms, nearest)) <= best + slack
     assert value(solve_lap(cost, maximize=False)[0].map) <= best + slack
 
 
@@ -271,11 +276,27 @@ def test_tree_certifies_a_close_step_within_the_budget(monkeypatch):
     assert np.array_equal(assignment.solve_nearest(Y, z).map, reward.argmax(axis=1))
 
 
-def test_colliding_step_within_the_budget_builds_the_cost_once_for_scipy(monkeypatch):
-    # At k = 1000 about 450 rows share a nearest fitted row. Within the budget
-    # the cost matrix is built once, and scipy gets that matrix itself
-    # (minimize, C-contiguous, the reward negated, no copy); the blocked scan
-    # and the warm start never run. The map is the one the reward gave.
+def test_colliding_step_within_the_budget_runs_no_lap_and_no_cost_matrix(monkeypatch):
+    # At k = 1000 about 450 rows share a nearest fitted row. The tree is
+    # declined, so a scan of a few hundred cost rows at a time finds the
+    # nearest rows, and the warm start settles the step with no n-row cost
+    # matrix and no scipy LAP. The map is the one scipy gives on the cost.
+    Y, z = _first_dense_step(2000, 1000, 1)
+    cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
+    expected = linear_sum_assignment(cost)[1]
+    rows, real_cost = [], assignment._cost
+    monkeypatch.setattr(assignment, "_cost",
+                        lambda Y, *a: rows.append(len(Y)) or real_cost(Y, *a))
+    monkeypatch.setattr(assignment, "linear_sum_assignment", _no_call)
+    assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
+    assert rows and max(rows) < 2000
+
+
+def test_step_left_far_from_done_hands_scipy_the_cost_once_in_place(monkeypatch):
+    # At k = n - 1 row reduction leaves most of the first step's free rows
+    # free at its cap, so within the budget the n x n cost matrix is built
+    # and scipy gets that matrix itself (minimize, C-contiguous, the reward
+    # negated, no copy); the augmenting paths never run.
     built, seen = [], []
     real_cost, real_lap = assignment._cost, assignment.linear_sum_assignment
 
@@ -287,16 +308,15 @@ def test_colliding_step_within_the_budget_builds_the_cost_once_for_scipy(monkeyp
         seen.append((maximize, C.flags.c_contiguous, np.shares_memory(C, built[-1])))
         return real_lap(C, maximize=maximize)
 
-    monkeypatch.setattr(assignment, "_cost", cost_spy)
-    monkeypatch.setattr(assignment, "linear_sum_assignment", lap_spy)
-    for name in ("_nearest_blocked", "_warm_lap"):
-        monkeypatch.setattr(assignment, name, _no_call)
-    Y, z = _first_dense_step(2000, 1000, 1)
+    Y, z = _first_dense_step(300, 299, 1)
     reward = Y @ z.T
     reward -= 0.5 * np.einsum("ij,ij->i", z, z)
     expected = real_lap(reward, maximize=True)[1]
+    monkeypatch.setattr(assignment, "_cost", cost_spy)
+    monkeypatch.setattr(assignment, "linear_sum_assignment", lap_spy)
+    monkeypatch.setattr(assignment, "_augment", _no_call)
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
-    assert len(built) == 1 and np.array_equal(built[0], -reward)
+    assert np.array_equal(built[-1], -reward)
     assert seen == [(False, True, True)]
 
 
@@ -325,38 +345,130 @@ def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
 
 
-# Within the budget a step the tree does not certify goes to the cost matrix;
-# past it, to the blocked scan (for a declined tree) and the warm start.
-_WITHIN = {"_nearest_blocked": _no_call, "_warm_lap": _no_call}
+# The nearest rows come from the tree or the blocked scan; colliding ones go to
+# the warm start, within the budget or past it. Within it, row reduction that
+# ends with more than ARR_LEFT_MAX * n rows free hands the cost matrix to scipy.
 _PAST = {"DENSE_BYTES_MAX": 0, "solve_lap": _no_call}
 _ROUTES = {
-    "tree": {"_tree_pays": lambda *a: True, **_WITHIN},
-    "dense cost": _WITHIN,
+    "tree": {"_tree_pays": lambda *a: True, "_nearest_blocked": _no_call},
+    "blocked scan": {"cKDTree": _no_call},
+    "row reduction": {"ARR_STEPS": 64, **_PAST},
+    "paths after no row reduction": {"ARR_STEPS": 0, "ARR_LEFT_MAX": 1, "solve_lap": _no_call},
+    "scipy after no row reduction": {"ARR_STEPS": 0, "ARR_LEFT_MAX": 0, "_augment": _no_call},
     "past the budget": _PAST,
     "tree past the budget": {"_tree_pays": lambda *a: True, **_PAST},
 }
+
+
+def _route_fits(n):
+    """Y and three fits for n rows: random, duplicated (ties), and all zero
+    (X_hat = 0, every permutation ties)."""
+    rng = np.random.default_rng(n)
+    Y, z = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    return Y, (z, z[rng.integers(0, max(1, n // 2), n)], np.zeros((n, 3)))
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_route_of_the_dense_step_attains_the_enumerated_optimum(monkeypatch, n, route):
     # Each route on its own: the KD-tree (forced; up to TREE_SAMPLE rows it is
-    # never taken) then the cost matrix, the cost matrix alone, and past the
-    # budget the blocked scan or the tree followed by the warm start. Fitted
-    # rows are random, duplicated (ties), or all zero (X_hat = 0, every
-    # permutation ties). The tree may break a tie differently from an argmin,
-    # so values are compared, not maps.
+    # never taken) or the blocked scan, then the default warm start; row
+    # reduction with a cap it rarely reaches; augmenting paths or scipy with
+    # no row reduction; and past the budget the blocked scan or the tree, then
+    # the warm start. The all-zero fit must terminate. The tree may break a
+    # tie differently from an argmin, so values are compared, not maps.
     for name, value in _ROUTES[route].items():
         monkeypatch.setattr(assignment, name, value)
-    rng = np.random.default_rng(n)
     perms = all_permutations(n)
-    Y = rng.standard_normal((n, 3))
-    z = rng.standard_normal((n, 3))
-    for fit in (z, z[rng.integers(0, max(1, n // 2), n)], np.zeros((n, 3))):
+    Y, fits = _route_fits(n)
+    for fit in fits:
         values = np.sum((Y[None] - fit[perms]) ** 2, axis=(1, 2))
         cols = assignment.solve_nearest(Y, fit).map
         got = np.sum((Y[None] - fit[cols[None]]) ** 2, axis=(1, 2))[0]
         assert got == values.min()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_reduction_alone_settles_distinct_and_all_tied_fits(monkeypatch, n):
+    # With distinct fitted rows each raise leaves a gap, and on the all-zero
+    # fit each row takes a free tied column, so row reduction ends with no row
+    # left for the paths. Duplicated fitted rows tie forever between their
+    # copies, and only the cap ends those steps (see the routes above).
+    left, real = [], assignment._augment
+    monkeypatch.setattr(assignment, "ARR_STEPS", 64)
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
+    monkeypatch.setattr(assignment, "_augment", lambda *a: left.extend(a[-1]) or real(*a))
+    Y, (z, _, zero) = _route_fits(n)
+    for fit in (z, zero):
+        cost = 0.5 * np.einsum("ij,ij->i", fit, fit) - Y @ fit.T
+        cols = assignment.solve_nearest(Y, fit).map
+        assert cost[np.arange(n), cols].sum() == cost[linear_sum_assignment(cost)].sum()
+    assert left == []
+
+
+def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeypatch):
+    # Complementary slackness in float arithmetic: after row reduction every
+    # assigned row holds a minimizer of p[j] - <y_i, z_j>, computed as the
+    # reduction computes it, and u_i is that minimum. Row norms spanning 1e-3
+    # to 1e3 make a raised price round past the second-best column, which the
+    # reduction must lower again.
+    monkeypatch.setattr(assignment, "ARR_STEPS", 64)
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n, m = rng.integers(2, 30), rng.integers(1, 4)
+        Y, Z = (rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+                for _ in range(2))
+        prices, u = 0.5 * np.einsum("ij,ij->i", Z, Z), np.zeros(n)
+        taken, first = np.unique([np.argmin(prices - Z @ y) for y in Y], return_index=True)
+        row4col, col4row = np.full(n, -1), np.full(n, -1)
+        row4col[taken], col4row[first] = first, taken
+        u[first] = prices[taken] - np.einsum("ij,ij->i", Y[first], Z[taken])
+        assignment._reduce_rows(Y, Z, prices, u, row4col, col4row)
+        for i in np.flatnonzero(col4row >= 0):
+            reduced = prices - Z @ Y[i]
+            assert reduced[col4row[i]] == reduced.min()
+            if i not in first:
+                assert u[i] == reduced.min()
+
+
+@st.composite
+def _warm_steps(draw):
+    """Y, fitted rows and a row-reduction cap for one warm start: Gaussian fits
+    (one optimum), fits with duplicated rows, or small-integer fits (exact
+    arithmetic, many ties)."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "duplicated", "integer"]))
+    if kind == "integer":
+        Y, Z = (rng.integers(-3, 4, (n, m)).astype(np.float64) for _ in range(2))
+    else:
+        Y, Z = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+        if kind == "duplicated":
+            Z = Z[rng.integers(0, max(1, n // 2), n)]
+    return kind, Y, Z, draw(st.sampled_from([0, assignment.ARR_STEPS, 64]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_warm_steps())
+def test_warm_start_equals_scipy_on_random_fits(case):
+    # The warm start from the nearest rows, past the budget so that augmenting
+    # paths settle what row reduction leaves, against scipy on the cost
+    # matrix: equal values (fsum, so that tied optima sum alike), and the
+    # same map where the optimum is unique (Gaussian fits).
+    kind, Y, Z, steps = case
+    half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    cost = Y @ Z.T
+    np.subtract(half_norms, cost, out=cost)
+    expected = linear_sum_assignment(cost)[1]
+    rows = np.arange(len(Y))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment, "DENSE_BYTES_MAX", 0)
+        mp.setattr(assignment, "ARR_STEPS", steps)
+        got = assignment._warm_lap(Y, Z, half_norms, cost.argmin(axis=1))
+    assert sorted(got) == list(rows)
+    assert math.fsum(cost[rows, got]) == math.fsum(cost[rows, expected])
+    if kind == "gaussian":
+        assert np.array_equal(got, expected)
 
 
 def test_tree_pays_only_for_a_close_fit():
@@ -404,18 +516,21 @@ def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatc
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
 
 
-@pytest.mark.parametrize("n,k", [(2000, 1000), (300, 299)])
+@pytest.mark.parametrize("n,k", [(2000, 1000), (4000, 2000), (300, 299)])
 def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
     # Every dense step of a solve whose nearest rows collide: the warm start
-    # and linear_sum_assignment on the cost give one map and value. At
-    # n = 2000, k = 1000 the first step has about 450 rows without a column;
-    # at n = 300, k = 299 every step has 67-155 of 300.
+    # (past the budget, so it never hands a step to scipy) and
+    # linear_sum_assignment on the cost give one map and value. At n = 2000,
+    # k = 1000 the first step has about 450 rows without a column, which row
+    # reduction settles; at n = 300, k = 299 every step has 67-155 of 300,
+    # and the augmenting paths settle what is left at the cap.
     steps = []
     real = solver.solve_nearest
     monkeypatch.setattr(solver, "solve_nearest",
                         lambda Y, Z, partition: steps.append(Z) or real(Y, Z, partition))
     inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
     solve(inst, SolverConfig(mode="ksparse"))
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
     uncertified = 0
     rows = np.arange(n)
     for z in steps:
@@ -457,6 +572,18 @@ def test_rlocal_non_finite_cost_names_the_block_offset_in_y():
     Y[5] = 1e308
     with pytest.raises(NonFinite, match="cost block at offset 4 contains NaN or Inf"):
         permutation_update(B, Y, X, BlockPartition((2, 2, 3, 3)))
+
+
+def test_non_finite_block_past_the_budget_names_its_offset_in_y(monkeypatch):
+    # Under this budget the 100-row block takes the dense step, like the
+    # stacked blocks the error names the block's first row in Y: row 50
+    # overflows its cost row, and the block starts at row 10.
+    rng = np.random.default_rng(10)
+    B, X, Y = rng.uniform(1, 2, (110, 2)), np.ones((2, 2)), rng.standard_normal((110, 2))
+    Y[50] = 1e308
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 8 * 99 * 99)
+    with pytest.raises(NonFinite, match="cost block at offset 10 contains NaN or Inf"):
+        permutation_update(B, Y, X, BlockPartition((10, 100)))
 
 
 def test_permutation_update_single_block_equals_dense():

@@ -12,16 +12,17 @@ block-diagonal permutation.
 ``solve_nearest`` is the permutation step of both solver modes: it matches the
 rows of ``Y`` to fitted rows ``Z`` at least total squared distance, over all
 permutations or within the blocks of a partition. Each row's best column is its
-nearest fitted row. Blocks that fit a memory budget are solved as stacks of
-in-place cost matrices by the kernel above. The dense step, and a block past
-the budget, finds the nearest rows in O(n m) memory at any n: by a KD-tree when
-the fit is close, else by a scan of a few MiB of cost rows at a time. Distinct
-nearest rows are the optimum outright. A step whose nearest rows collide goes
-to ``_warm_lap``: augmenting row reduction, then shortest augmenting paths,
-both computing the cost rows they scan on demand, so no n x n matrix is built.
-Only a step that fits the budget and that the row reduction leaves far from
-done builds its n x n cost matrix in place, and scipy minimizes it with no
-negated copy.
+nearest fitted row. ``_cost`` builds every cost block, a few rows, a stack of
+blocks or a whole matrix, in place. Blocks that fit a memory budget are solved
+as stacks of cost matrices by the kernel above. ``_solve_dense`` routes the
+dense step, and a block past the budget: it finds the nearest rows in O(n m)
+memory at any n, by a KD-tree when the fit is close, else by a scan of a few
+MiB of cost rows at a time. Distinct nearest rows are the optimum outright. A
+step whose nearest rows collide starts from the nearest-row matching: augmenting
+row reduction, then shortest augmenting paths, both computing the cost rows they
+scan on demand, so no n x n matrix is built. Only a step that fits the budget
+and that the row reduction leaves far from done builds its n x n cost matrix,
+and scipy minimizes it with no negated copy.
 
 scipy is imported on the first call that needs it, not with this module.
 Loading ``scipy.optimize`` and ``scipy.spatial`` costs a fresh process about
@@ -51,11 +52,11 @@ from .permutation import BlockPartition, Permutation
 # nearest rows collide runs at most ARR_STEPS * n steps of augmenting row
 # reduction, and shortest augmenting paths settle the rows it leaves free. But a
 # step whose cost matrix holds at most DENSE_BYTES_MAX bytes (n <= 8192) and
-# that has more than ARR_LEFT_MAX * n rows free at the cap builds that matrix
-# for scipy, which is 3-7x faster than the paths near k = n. The two ARR
-# constants are measured in BENCH_row_reduction.json. A stack of block matrices
-# also holds at most DENSE_BYTES_MAX bytes, and a single block larger than that
-# takes the dense step.
+# that row reduction leaves with more than ARR_LEFT_MAX * n rows free builds
+# that matrix for scipy, which is 3-7x faster than the paths near k = n. The
+# two ARR constants are measured in BENCH_row_reduction.json. A stack of block
+# matrices also holds at most DENSE_BYTES_MAX bytes, and a single block larger
+# than that takes the dense step.
 DENSE_BYTES_MAX = 2**29
 BLOCK_BYTES = 2**22
 TREE_SAMPLE = 64
@@ -148,38 +149,6 @@ def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
     return Permutation(out)
 
 
-def _warm_lap(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray,
-              cols: np.ndarray) -> np.ndarray | None:
-    """Column map minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
-    started from ``cols``, each row's best column; or None when the step's cost
-    matrix fits DENSE_BYTES_MAX and the row reduction leaves more than
-    ARR_LEFT_MAX * n rows free, for the caller to hand that matrix to scipy.
-
-    The first row to claim a column keeps it. The duals are column prices
-    p = half_norms - v, starting at half_norms (v = 0), and row values u, with
-    u_i = C[i, x_i] - v[x_i] for a row holding column x_i: row i's reduced cost
-    at column j is p[j] - <y_i, z_j> - u_i. ``_reduce_rows`` settles most free
-    rows and ``_augment`` the rest. Both keep every assigned row holding a
-    minimizer of C[i, .] - v, so the duals stay feasible and tight on every
-    assigned edge (complementary slackness), and the map they end with is an
-    exact optimum. Each computes a cost row when it processes or scans that
-    row, so memory stays O(n m).
-    """
-    n = Y.shape[0]
-    taken, first = np.unique(cols, return_index=True)
-    row4col = np.full(n, -1, dtype=np.intp)
-    col4row = np.full(n, -1, dtype=np.intp)
-    row4col[taken], col4row[first] = first, taken
-    prices = half_norms.copy()
-    u = np.zeros(n)
-    u[first] = half_norms[taken] - np.einsum("ij,ij->i", Y[first], Z[taken])
-    free = _reduce_rows(Y, Z, prices, u, row4col, col4row)
-    if free and 8 * n * n <= DENSE_BYTES_MAX and len(free) > ARR_LEFT_MAX * n:
-        return None
-    _augment(Y, Z, prices, u, row4col, col4row, free)
-    return col4row
-
-
 def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,
                  row4col: np.ndarray, col4row: np.ndarray) -> list[int]:
     """Augmenting row reduction (Jonker & Volgenant 1987) of the free rows of
@@ -188,16 +157,16 @@ def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray
     A step takes a free row i and its least reduced-cost column j1. With a gap
     to its second-best column j2, it raises p[j1] by that gap and takes j1, and
     the row that held j1 is processed next: an auction with zero increment. On
-    a tie it takes a free column among its minimizers, or else j2, and the row
-    that held j2 waits at the back of the queue. Prices only rise, only on the
-    column a row takes, and float subtraction is monotone, so every other
-    assigned row still holds a minimizer of its reduced costs. A raise that
-    rounds j1 above j2 for row i itself is lowered an ulp at a time until j1 is
-    again a minimizer. Ties can displace rows in a cycle forever, which the
-    step cap ends.
+    a tie it takes j1 or another free minimizer if there is one, and is else
+    left free for the augmenting paths, so only a strict raise displaces a row.
+    Prices only rise, only on the column a row takes, and float subtraction is
+    monotone, so every other assigned row still holds a minimizer of its reduced
+    costs. A raise that rounds j1 above j2 for row i itself is lowered an ulp at
+    a time until j1 is again a minimizer.
     """
     n = Y.shape[0]
     free = deque(np.flatnonzero(col4row < 0).tolist())
+    tied_rows = []
     dot, red = np.empty(n), np.empty(n)
     tied = np.empty(n, dtype=bool)
     for _ in range(ARR_STEPS * n):
@@ -226,16 +195,16 @@ def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray
                 red[j1] = u1
                 np.equal(red, u1, out=tied)
                 tied &= row4col < 0
-                j1 = int(tied.argmax()) if tied.any() else j2
+                if not tied.any():
+                    tied_rows.append(i)
+                    continue
+                j1 = int(tied.argmax())
         i0 = int(row4col[j1])
         row4col[j1], col4row[i] = i, j1
         if i0 >= 0:
             col4row[i0] = -1
-            if u1 < u2:
-                free.appendleft(i0)
-            else:
-                free.append(i0)
-    return list(free)
+            free.appendleft(i0)
+    return tied_rows + list(free)
 
 
 def _augment(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,
@@ -294,10 +263,12 @@ def _augment(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,
 
 
 def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
-    """Cost matrix half_norms[j] - <y_i, z_j>, built in place: the reward
-    <y_i, z_j> - half_norms[j] negated bit for bit."""
-    cost = Y @ Z.T
-    np.subtract(half_norms, cost, out=cost)
+    """Cost half_norms[j] - <y_i, z_j> of the rows of ``Y`` against those of
+    ``Z``, built in place: the reward <y_i, z_j> - half_norms[j] negated bit for
+    bit. Stacks of b blocks, ``Y`` and ``Z`` of shape (b, s, m) and
+    ``half_norms`` of shape (b, s), give the (b, s, s) stack of block costs."""
+    cost = Y @ np.swapaxes(Z, -1, -2)
+    np.subtract(half_norms[..., None, :], cost, out=cost)
     return cost
 
 
@@ -317,10 +288,7 @@ def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
     if n <= TREE_SAMPLE:
         return False
     sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE]
-    # The sample's cost rows plus its half squared norms, built here so that
-    # _cost runs only for cost matrices.
-    half_sq = sample @ Z.T
-    np.subtract(half_norms, half_sq, out=half_sq)
+    half_sq = _cost(sample, Z, half_norms)
     half_sq += 0.5 * np.einsum("ij,ij->i", sample, sample)[:, None]
     d1, d2 = np.partition(half_sq, 1, axis=1)[:, :2].clip(min=0).T
     ratio = np.divide(d1, d2, out=np.ones_like(d1), where=d2 > 0)
@@ -342,7 +310,22 @@ def _nearest_blocked(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np
 
 def _solve_dense(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> Permutation:
     """The permutation minimizing sum_i C[i, p(i)], C[i, j] = half_norms[j] - <y_i, z_j>,
-    over all permutations: the dense step of ``solve_nearest``."""
+    over all permutations: the dense step of ``solve_nearest``.
+
+    Each row's best column comes from the KD-tree when ``_tree_pays``, else from
+    the blocked scan, and distinct best columns are the optimum. Otherwise the
+    first row to claim a column keeps it. The duals are column prices
+    p = half_norms - v, starting at half_norms (v = 0), and row values u, with
+    u_i = C[i, x_i] - v[x_i] for a row holding column x_i: row i's reduced cost
+    at column j is p[j] - <y_i, z_j> - u_i. ``_reduce_rows`` settles most free
+    rows and ``_augment`` the rest. Both keep every assigned row holding a
+    minimizer of C[i, .] - v, so the duals stay feasible and tight on every
+    assigned edge (complementary slackness), and the map they end with is an
+    exact optimum. Each computes a cost row when it processes or scans that
+    row, so memory stays O(n m). When the cost matrix fits DENSE_BYTES_MAX and
+    the row reduction leaves more than ARR_LEFT_MAX * n rows free, that matrix
+    is built instead and goes to scipy through ``solve_lap``.
+    """
     n = Y.shape[0]
     if _tree_pays(Y, Z, half_norms):
         dist, cols = cKDTree(Z).query(Y)
@@ -350,12 +333,20 @@ def _solve_dense(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> Permut
             raise NonFinite("nearest-row distances contain NaN or Inf entries")
     else:
         cols = _nearest_blocked(Y, Z, half_norms)
-    if np.unique(cols).size == n:
+    taken, first = np.unique(cols, return_index=True)
+    if taken.size == n:
         return Permutation(cols)
-    warm = _warm_lap(Y, Z, half_norms, cols)
-    if warm is None:
+    row4col = np.full(n, -1, dtype=np.intp)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col[taken], col4row[first] = first, taken
+    prices = half_norms.copy()
+    u = np.zeros(n)
+    u[first] = half_norms[taken] - np.einsum("ij,ij->i", Y[first], Z[taken])
+    free = _reduce_rows(Y, Z, prices, u, row4col, col4row)
+    if 8 * n * n <= DENSE_BYTES_MAX and len(free) > ARR_LEFT_MAX * n:
         return solve_lap(_cost(Y, Z, half_norms), maximize=False)[0]
-    return Permutation(warm)
+    _augment(Y, Z, prices, u, row4col, col4row, free)
+    return Permutation(col4row)
 
 
 def solve_nearest(Y: np.ndarray, Z: np.ndarray,
@@ -372,11 +363,12 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     matrices fit ``DENSE_BYTES_MAX`` are stacked by runs of equal size, at most
     ``Y.size`` entries at a time, and each stack is settled by the kernel of
     ``solve_blockwise``. The dense step, without a partition or for a block
-    past the budget, asks a KD-tree for the nearest rows when ``_tree_pays``,
-    else scans blocks of cost rows, and distinct nearest rows are the optimum.
-    Otherwise ``_warm_lap`` settles the rows that lost their nearest row; only
-    when the cost matrix fits the budget and the row reduction leaves the step
-    far from done is that matrix built, once, for scipy through ``solve_lap``.
+    past the budget, is ``_solve_dense``: it asks a KD-tree for the nearest
+    rows when ``_tree_pays``, else scans blocks of cost rows, and distinct
+    nearest rows are the optimum. Otherwise row reduction and augmenting paths
+    settle the rows that lost their nearest row; only when the cost matrix fits
+    the budget and the row reduction leaves the step far from done is that
+    matrix built, once, for scipy through ``solve_lap``.
     NonFinite if a squared norm, distance or cost overflows; a block's error
     names its row offset in ``Y``.
     """
@@ -398,9 +390,8 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
                 raise NonFinite(f"cost block at offset {lo} contains NaN or Inf entries") from None
             out[lo:hi] = block.map + lo
             continue
-        fit = Z[lo:hi].reshape(count, size, m)
-        cost = Y[lo:hi].reshape(count, size, m) @ fit.transpose(0, 2, 1)
-        np.subtract(half_norms[lo:hi].reshape(count, 1, size), cost, out=cost)
+        cost = _cost(Y[lo:hi].reshape(count, size, m), Z[lo:hi].reshape(count, size, m),
+                     half_norms[lo:hi].reshape(count, size))
         cols = _solve_stack(cost, lambda i: (
             f"cost block at offset {lo + i * size} contains NaN or Inf entries"), maximize=False)
         out[lo:hi] = (cols + (lo + size * np.arange(count))[:, None]).ravel()

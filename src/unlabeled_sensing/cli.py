@@ -192,8 +192,7 @@ def _result_metrics(instance: ProblemInstance, result) -> dict | None:
         metrics["frac_distortion"] = hamming_distortion(result.p_hat, instance.p_star) / instance.n
     if instance.y_star is not None:
         x_oracle, x_naive = oracle_and_naive(instance.b_svd, instance.y_star, instance.Y)
-        scored = evaluate(result.x_hat, x_oracle, instance.B, instance.y_star,
-                          result.p_hat, instance.p_star)
+        scored = evaluate(result.x_hat, x_oracle, instance.B, instance.y_star)
         naive = evaluate(x_naive, x_oracle, instance.B, instance.y_star)
         oracle = evaluate(x_oracle, x_oracle, instance.B, instance.y_star)
         metrics.update({

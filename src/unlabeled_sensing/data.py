@@ -10,7 +10,8 @@ Instance bundle layout (one directory):
     B.csv       measurement matrix, one row per line, comma separated
     Y.csv       permuted observations
     Ystar.csv   optional unpermuted observations
-    truth.json  {"permutation": [...0-based indices...], "partition": [sizes] | null}
+    truth.json  {"permutation": [...0-based indices...], "partition": [sizes] | null,
+                 "source_rows": [...0-based CSV rows...], only for an ingested instance}
     meta.json   {"sigma": float, "seed": int | null, "model": {...} | null}
 
 The meta.json model must agree with the truth.json partition: an r-local
@@ -438,6 +439,8 @@ def save_bundle(instance: ProblemInstance, out_dir,
         "permutation": instance.p_star.to_list() if instance.p_star is not None else None,
         "partition": list(instance.partition.sizes) if instance.partition is not None else None,
     }
+    if instance.source_rows is not None:
+        truth["source_rows"] = instance.source_rows.tolist()
     (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
     meta = {"sigma": instance.sigma, "seed": seed, "model": _model_to_dict(model)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
@@ -448,7 +451,9 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     """Read a bundle and check that its files agree before anything is solved.
 
     Every file must cover the n rows of ``B.csv`` and ``Ystar.csv`` must have
-    the columns of ``Y.csv`` (``ShapeMismatch``). ``meta.json`` must give a
+    the columns of ``Y.csv`` (``ShapeMismatch``). The ``truth.json``
+    ``permutation`` and ``source_rows`` must each be a bijection on 0..n-1
+    (``InvalidConfig``). ``meta.json`` must give a
     finite non-negative ``sigma`` and a valid ``model`` that agrees with the
     ``truth.json`` partition (``InvalidConfig``).
     """
@@ -472,7 +477,10 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     partition = None if sizes is None else BlockPartition(tuple(sizes))
     indices = _truth_indices(truth, "permutation")
     p_star = None if indices is None else Permutation.from_list(indices)
-    for what, value in (("truth.json partition", partition), ("truth.json permutation", p_star)):
+    rows = _truth_indices(truth, "source_rows")
+    source_rows = None if rows is None else Permutation.from_list(rows)
+    for what, value in (("truth.json partition", partition), ("truth.json permutation", p_star),
+                        ("truth.json source_rows", source_rows)):
         if value is not None:
             _check_rows(what, value.n, n)
     model = model_from_dict(meta.get("model"))
@@ -481,7 +489,8 @@ def load_bundle(bundle_dir) -> ProblemInstance:
         raise InvalidConfig("meta.json model does not match the truth.json partition: an "
                             "rlocal model gives its sizes, a ksparse model has none")
     return ProblemInstance(B=B, Y=Y, sigma=float(sigma), partition=partition,
-                           p_star=p_star, y_star=y_star)
+                           p_star=p_star, y_star=y_star,
+                           source_rows=None if source_rows is None else source_rows.map)
 
 
 def is_count(value) -> bool:

@@ -20,9 +20,10 @@ import unlabeled_sensing
 from unlabeled_sensing import solver
 from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _resolve,
                                    build_parser, main)
-from unlabeled_sensing.data import load_bundle, read_matrix_csv, write_matrix_csv
+from unlabeled_sensing.data import (SynthConfig, generate, load_bundle, read_matrix_csv,
+                                    write_matrix_csv)
 from unlabeled_sensing.errors import InvalidConfig
-from unlabeled_sensing.permutation import Permutation
+from unlabeled_sensing.permutation import KSparse, Permutation
 
 
 def run(argv):
@@ -215,6 +216,9 @@ def test_ingest_then_solve(tmp_path, capsys):
     result = json.loads((bundle / "result.json").read_text())
     assert result["mode"] == "rlocal"
     assert "relative_error" in result["metrics"]
+    # block-sorted row i of the bundle is CSV data row source_rows[i]
+    truth = json.loads((bundle / "truth.json").read_text())
+    assert truth["source_rows"] == [0, 2, 4, 6, 1, 3, 5, 7]
 
     assert run(["ingest", csv, "--targets", "t1", "--features", "f1,f2",
                 "--block-cols", "", "--seed", 3, "--out", bundle]) == 2
@@ -486,6 +490,21 @@ def test_solve_truncated_permutation_is_caught_at_load(tmp_path, capsys):
     assert not (bundle / "result.json").exists()
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([0] * 12, "permutation map must be a bijection on 0..n-1"),
+    (list(range(1, 13)), "permutation map must be a bijection on 0..n-1"),
+    ([], "permutation map must be a non-empty"),
+    (list(range(11)), "truth.json source_rows covers 11 rows but B.csv has 12"),
+], ids=["repeated", "shifted", "empty", "short"])
+def test_solve_source_rows_not_a_bijection_on_the_rows_is_usage_error(tmp_path, capsys,
+                                                                      rows, message):
+    bundle = _small_bundle(tmp_path)
+    _edit_json(bundle / "truth.json", source_rows=rows)
+    assert run(["solve", bundle]) == 2
+    assert message in capsys.readouterr().err
+    assert not (bundle / "result.json").exists()
+
+
 def test_solve_partition_not_covering_n_is_usage_error(tmp_path, capsys):
     bundle = _small_bundle(tmp_path)
     _edit_json(bundle / "truth.json", partition=[4, 4])
@@ -550,8 +569,10 @@ def test_bench_grid_with_no_values_is_usage_error(tmp_path, capsys):
     ("partition", [4.5, 4.5, 4.5]),
     ("permutation", "abc"),
     ("permutation", [0, True] + list(range(2, 12))),
+    ("source_rows", "abc"),
+    ("source_rows", [-1] + list(range(1, 12))),
 ], ids=["partition-text", "partition-nested", "partition-fractional", "permutation-text",
-        "permutation-bool"])
+        "permutation-bool", "source-rows-text", "source-rows-negative"])
 def test_solve_mistyped_truth_is_usage_error(tmp_path, capsys, key, value):
     bundle = _small_bundle(tmp_path)
     _edit_json(bundle / "truth.json", **{key: value})
@@ -777,8 +798,11 @@ def _bundle_edits(draw):
         ("truth.json", "permutation"): _or_junk(
             st.one_of(st.none(), st.permutations(range(12)), st.permutations(range(11))),
             _BUNDLE_JUNK),
+        ("truth.json", "source_rows"): _or_junk(
+            st.one_of(st.none(), st.permutations(range(12)), st.permutations(range(11))),
+            _BUNDLE_JUNK),
     }
-    picked = draw(st.sets(st.sampled_from(sorted(edits)), max_size=4))
+    picked = draw(st.sets(st.sampled_from(sorted(edits)), max_size=5))
     ystar = draw(st.sampled_from(["keep", "keep", "drop-row", "drop-column", "add-column",
                                   "remove"]))
     mode = draw(st.sampled_from([None, None, "rlocal", "ksparse"]))
@@ -908,14 +932,28 @@ def test_every_function_the_benchmark_traces_resolves_in_its_module():
 
 
 def test_benchmark_tracer_wraps_and_restores_every_original():
+    # ``--trace 1`` runs inside Tracer().installed(): every traced name must
+    # resolve and be wrapped where its module binds it, a traced solve must
+    # record its spans, and every original must be back on exit. A src/ change
+    # that drops a traced name fails here, not in the benchmark's traced run.
+    tracing = _perfbench("tracing")
     modules = {name: module for name, module in sys.modules.items()
                if name.split(".")[0] == "unlabeled_sensing"}
     before = {name: dict(vars(module)) for name, module in modules.items()}
     init, checks = Permutation.__init__, dict(CHECK_FUNCS)
-    with _perfbench("tracing").Tracer().installed():
-        assert solver.solve is not before["unlabeled_sensing.solver"]["solve"]
+    traced = [(importlib.import_module(f"unlabeled_sensing.{module}"), attr)
+              for module, attr, _ in tracing.FUNCTIONS]
+    originals = [getattr(module, attr) for module, attr in traced]
+    with tracing.Tracer().installed() as tracer:
+        for (module, attr), original in zip(traced, originals):
+            wrapper = getattr(module, attr)
+            assert getattr(wrapper, "__wrapped__", None) is original, f"{module.__name__}.{attr}"
         assert Permutation.__init__ is not init
         assert all(CHECK_FUNCS[name] is not fn for name, fn in checks.items())
+        inst = generate(SynthConfig(n=12, d=2, m=2, model=KSparse(4), seed=1))
+        solver.solve(inst, solver.SolverConfig(mode="ksparse"))
+    assert {"solver.solve", "linalg.svd", "permutation.Permutation"} <= set(tracer.names)
+    assert tracer.counts["solver.iters"] >= 1
     for name, module in modules.items():
         assert all(vars(module)[key] is value for key, value in before[name].items()), name
     assert Permutation.__init__ is init and CHECK_FUNCS == checks

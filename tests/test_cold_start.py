@@ -69,8 +69,8 @@ print(json.dumps({"rc": rc, "loaded": loaded}))
 
 def test_colliding_ksparse_solve_loads_only_scipy_spatial_and_writes_the_in_process_bytes(
         tmp_path):
-    # At k = n/2 the first step's nearest fitted rows collide and the warm
-    # start settles them without scipy's LAP; the later steps' fits are close
+    # At k = n/2 the first step's nearest fitted rows collide and row
+    # reduction settles them without scipy's LAP; the later steps' fits are close
     # enough for the KD-tree. So scipy.optimize is never loaded.
     bundle = tmp_path / "bundle"
     assert run(["synth", "--n", 200, "--d", 10, "--m", 10, "--model", "ksparse", "--k", 100,
@@ -79,12 +79,12 @@ def test_colliding_ksparse_solve_loads_only_scipy_spatial_and_writes_the_in_proc
 from unlabeled_sensing import assignment
 pays, real = [], assignment._tree_pays
 assignment._tree_pays = lambda *a: pays.append(real(*a)) or pays[-1]
-warm, real_warm = [], assignment._warm_lap
-assignment._warm_lap = lambda *a: warm.append(1) or real_warm(*a)
+reduced, real_reduce = [], assignment._reduce_rows
+assignment._reduce_rows = lambda *a: reduced.append(1) or real_reduce(*a)
 rc = run("solve", sys.argv[1], "--out", sys.argv[2])
-print(json.dumps({"rc": rc, "tree": any(pays), "warm": len(warm), "loaded": scipy()}))
+print(json.dumps({"rc": rc, "tree": any(pays), "reduced": len(reduced), "loaded": scipy()}))
 """, bundle, tmp_path / "fresh")
-    assert got["rc"] == 0 and got["tree"] and got["warm"] >= 1
+    assert got["rc"] == 0 and got["tree"] and got["reduced"] >= 1
     assert "scipy.spatial" in got["loaded"] and "scipy.optimize" not in got["loaded"]
     assert run(["solve", bundle, "--out", tmp_path / "in_process"]) == 0
     for name in ("P_hat.json", "X_hat.csv", "result.json"):

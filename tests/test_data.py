@@ -301,6 +301,21 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
+def test_ingested_bundle_keeps_its_source_rows(tmp_path):
+    # P_hat of an ingested bundle indexes its block-sorted rows; source_rows
+    # maps them back to the CSV. A synthesized bundle has no such key.
+    inst = ingest_csv(toy_csv(tmp_path), ("t1",), ("f1", "f2"), BlockRule(("key",)), seed=1)
+    assert inst.source_rows.tolist() == [1, 3, 5, 0, 2, 4]
+    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle", model=RLocal(inst.partition)))
+    assert np.array_equal(loaded.source_rows, inst.source_rows)
+    assert loaded.partition == inst.partition
+    assert np.array_equal(loaded.p_star.map, inst.p_star.map)
+    synth = generate(SynthConfig(n=6, d=2, m=1, model=KSparse(2), seed=1))
+    out = save_bundle(synth, tmp_path / "synth")
+    assert "source_rows" not in json.loads((out / "truth.json").read_text())
+    assert load_bundle(out).source_rows is None
+
+
 def test_partition_and_permutation_take_integers_past_int64():
     # sizes past int64 must not wrap around to a plausible n, and an index past
     # int64 is simply not in 0..n-1

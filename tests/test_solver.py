@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -107,8 +108,9 @@ def test_dense_permutation_update_attains_the_enumerated_minimum(case):
     # The dense step minimizes sum_i ||y_i - z_p(i)||^2 (z = B X); over all n!
     # permutations it must attain min_P ||Y - P B X||_F^2, and so must each of
     # its routes on its own: the KD-tree certificate when the nearest rows are
-    # distinct, the warm start from them (row reduction, then augmenting paths,
-    # as past the memory budget), and the cost-form LAP.
+    # distinct, the dense router past the memory budget (the certificate, or
+    # row reduction from the nearest rows, then augmenting paths), and the
+    # cost-form LAP.
     B, Y, X = case
     z = B @ X
     perms = all_permutations(Y.shape[0])
@@ -132,7 +134,8 @@ def test_dense_permutation_update_attains_the_enumerated_minimum(case):
     assert np.array_equal(cost[rows, blocked], cost.min(axis=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assignment, "DENSE_BYTES_MAX", 0)
-        assert value(assignment._warm_lap(Y, z, half_norms, nearest)) <= best + slack
+        mp.setattr(assignment, "solve_lap", _no_call)
+        assert value(assignment._solve_dense(Y, z, half_norms).map) <= best + slack
     assert value(solve_lap(cost, maximize=False)[0].map) <= best + slack
 
 
@@ -199,10 +202,10 @@ def test_solve_nearest_partition_not_covering_the_rows_is_shape_mismatch():
 @pytest.mark.parametrize("tree", [True, False])
 def test_block_past_the_memory_budget_takes_the_dense_step(monkeypatch, tree):
     # With a budget below 100 x 100 cost entries, the two 100-row blocks take
-    # the dense step on their own rows: the tree or, when it is declined, the
-    # blocked scan, then the warm start for the rows that share a nearest row;
+    # the dense router on their own rows: the tree or, when it is declined, the
+    # blocked scan, then row reduction for the rows that share a nearest row;
     # no cost matrix goes to solve_lap. The small blocks are stacked within
-    # the budget and never reach the tree. Random fits have one optimum per
+    # the budget and never reach the router. Random fits have one optimum per
     # block, which scipy finds on each block's cost.
     part = BlockPartition((3, 3, 100, 4, 100))
     rng = np.random.default_rng(11)
@@ -210,15 +213,17 @@ def test_block_past_the_memory_budget_takes_the_dense_step(monkeypatch, tree):
     expected = np.concatenate([
         linear_sum_assignment(0.5 * np.einsum("ij,ij->i", Z[sl], Z[sl]) - Y[sl] @ Z[sl].T)[1]
         + sl.start for sl in part.slices()])
-    asked, warm = [], []
-    real_warm = assignment._warm_lap
+    asked, routed, reduced = [], [], []
+    real_dense, real_reduce = assignment._solve_dense, assignment._reduce_rows
     monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 8 * 99 * 99)
     monkeypatch.setattr(assignment, "solve_lap", _no_call)
     monkeypatch.setattr(assignment, "_tree_pays", lambda Y, *a: asked.append(len(Y)) or tree)
-    monkeypatch.setattr(assignment, "_warm_lap",
-                        lambda *a: warm.append(1) or real_warm(*a))
+    monkeypatch.setattr(assignment, "_solve_dense",
+                        lambda Y, *a: routed.append(len(Y)) or real_dense(Y, *a))
+    monkeypatch.setattr(assignment, "_reduce_rows",
+                        lambda Y, *a: reduced.append(len(Y)) or real_reduce(Y, *a))
     assert np.array_equal(assignment.solve_nearest(Y, Z, part).map, expected)
-    assert asked == [100, 100] and len(warm) == 2
+    assert asked == routed == reduced == [100, 100]
 
 
 def _count_scipy_calls(monkeypatch) -> list:
@@ -268,28 +273,45 @@ def _first_dense_step(n, k, seed, m=10):
 
 def test_tree_certifies_a_close_step_within_the_budget(monkeypatch):
     # n = 2000 fits the budget, but at k = 200 the first step's nearest fitted
-    # rows are distinct: the KD-tree certifies it, with no cost matrix and no LAP.
+    # rows are distinct: the KD-tree certifies it, with no LAP. The only cost
+    # block built is the tree's sample of TREE_SAMPLE cost rows.
     Y, z = _first_dense_step(2000, 200, 1)
     reward = Y @ z.T - 0.5 * np.einsum("ij,ij->i", z, z)
-    for name in ("_cost", "solve_lap", "_nearest_blocked", "_warm_lap"):
+    for name in ("solve_lap", "_nearest_blocked", "_reduce_rows"):
         monkeypatch.setattr(assignment, name, _no_call)
+    built = _spy_cost(monkeypatch)
     assert np.array_equal(assignment.solve_nearest(Y, z).map, reward.argmax(axis=1))
+    assert built == [(assignment.TREE_SAMPLE, 2000)]
+
+
+def _spy_cost(monkeypatch) -> list:
+    """The shape of every cost block that ``assignment._cost`` builds from now on."""
+    shapes, real = [], assignment._cost
+
+    def spy(*args):
+        cost = real(*args)
+        shapes.append(cost.shape)
+        return cost
+
+    monkeypatch.setattr(assignment, "_cost", spy)
+    return shapes
 
 
 def test_colliding_step_within_the_budget_runs_no_lap_and_no_cost_matrix(monkeypatch):
     # At k = 1000 about 450 rows share a nearest fitted row. The tree is
-    # declined, so a scan of a few hundred cost rows at a time finds the
-    # nearest rows, and the warm start settles the step with no n-row cost
-    # matrix and no scipy LAP. The map is the one scipy gives on the cost.
+    # declined on its sample of cost rows, so a scan of a few hundred cost
+    # rows at a time finds the nearest rows, and row reduction settles the
+    # step with no n-row cost matrix and no scipy LAP. The map is the one
+    # scipy gives on the cost.
     Y, z = _first_dense_step(2000, 1000, 1)
     cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
     expected = linear_sum_assignment(cost)[1]
-    rows, real_cost = [], assignment._cost
-    monkeypatch.setattr(assignment, "_cost",
-                        lambda Y, *a: rows.append(len(Y)) or real_cost(Y, *a))
+    built = _spy_cost(monkeypatch)
     monkeypatch.setattr(assignment, "linear_sum_assignment", _no_call)
     assert np.array_equal(assignment.solve_nearest(Y, z).map, expected)
-    assert rows and max(rows) < 2000
+    assert built[0] == (assignment.TREE_SAMPLE, 2000)
+    assert all(rows < 2000 and cols == 2000 for rows, cols in built)
+    assert sum(rows for rows, _ in built[1:]) == 2000
 
 
 def test_step_left_far_from_done_hands_scipy_the_cost_once_in_place(monkeypatch):
@@ -326,7 +348,7 @@ def test_certified_step_past_the_memory_budget_builds_no_cost_matrix(monkeypatch
     Y, z = _first_dense_step(2000, 200, 1)
     reward = Y @ z.T - 0.5 * np.einsum("ij,ij->i", z, z)
     monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
-    for name in ("solve_lap", "_nearest_blocked", "_warm_lap"):
+    for name in ("solve_lap", "_nearest_blocked", "_reduce_rows"):
         monkeypatch.setattr(assignment, name, _no_call)
     p = assignment.solve_nearest(Y, z)
     assert np.array_equal(p.map, reward.argmax(axis=1))
@@ -335,7 +357,8 @@ def test_certified_step_past_the_memory_budget_builds_no_cost_matrix(monkeypatch
 
 def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
     # With a budget too small for the cost matrix, a step whose nearest rows
-    # collide goes to the warm start and still returns scipy's optimum.
+    # collide is settled by row reduction and augmenting paths and still
+    # returns scipy's optimum.
     Y, z = _first_dense_step(300, 150, 12, m=3)
     cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
     assert np.unique(cost.argmin(axis=1)).size < 300
@@ -346,8 +369,9 @@ def test_dense_step_past_the_memory_budget_runs_the_warm_start(monkeypatch):
 
 
 # The nearest rows come from the tree or the blocked scan; colliding ones go to
-# the warm start, within the budget or past it. Within it, row reduction that
-# ends with more than ARR_LEFT_MAX * n rows free hands the cost matrix to scipy.
+# row reduction, within the budget or past it. Within it, row reduction that
+# ends with more than ARR_LEFT_MAX * n rows free hands the cost matrix to scipy;
+# otherwise the augmenting paths settle the rows it leaves.
 _PAST = {"DENSE_BYTES_MAX": 0, "solve_lap": _no_call}
 _ROUTES = {
     "tree": {"_tree_pays": lambda *a: True, "_nearest_blocked": _no_call},
@@ -372,10 +396,10 @@ def _route_fits(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_route_of_the_dense_step_attains_the_enumerated_optimum(monkeypatch, n, route):
     # Each route on its own: the KD-tree (forced; up to TREE_SAMPLE rows it is
-    # never taken) or the blocked scan, then the default warm start; row
+    # never taken) or the blocked scan, then the default settling; row
     # reduction with a cap it rarely reaches; augmenting paths or scipy with
     # no row reduction; and past the budget the blocked scan or the tree, then
-    # the warm start. The all-zero fit must terminate. The tree may break a
+    # row reduction. The all-zero fit must terminate. The tree may break a
     # tie differently from an argmin, so values are compared, not maps.
     for name, value in _ROUTES[route].items():
         monkeypatch.setattr(assignment, name, value)
@@ -392,8 +416,8 @@ def test_every_route_of_the_dense_step_attains_the_enumerated_optimum(monkeypatc
 def test_row_reduction_alone_settles_distinct_and_all_tied_fits(monkeypatch, n):
     # With distinct fitted rows each raise leaves a gap, and on the all-zero
     # fit each row takes a free tied column, so row reduction ends with no row
-    # left for the paths. Duplicated fitted rows tie forever between their
-    # copies, and only the cap ends those steps (see the routes above).
+    # left for the paths. A row that ties between held copies of a duplicated
+    # fitted row is left to the paths (see the routes above and the next test).
     left, real = [], assignment._augment
     monkeypatch.setattr(assignment, "ARR_STEPS", 64)
     monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
@@ -404,6 +428,45 @@ def test_row_reduction_alone_settles_distinct_and_all_tied_fits(monkeypatch, n):
         cols = assignment.solve_nearest(Y, fit).map
         assert cost[np.arange(n), cols].sum() == cost[linear_sum_assignment(cost)].sum()
     assert left == []
+
+
+def _duplicated_first_step(n, k, share, seed):
+    """Y and the fitted rows of the first dense step of a k-sparse solve whose
+    B has ``share`` of its rows overwritten by copies of other rows, as in
+    data with repeated records; Y keeps the instance's permutation and noise."""
+    inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=seed))
+    rng = np.random.default_rng(seed)
+    B = inst.B.copy()
+    B[rng.choice(n, round(share * n), replace=False)] = B[rng.integers(0, n, round(share * n))]
+    Y = apply(inst.p_star, B @ inst.x_star) + (inst.Y - apply(inst.p_star, inst.y_star))
+    return Y, B @ signal_update(B, Y, Permutation.identity(n))
+
+
+@pytest.mark.parametrize("share", [0.05, 0.2])
+def test_duplicated_fitted_rows_settle_under_the_row_reduction_cap(monkeypatch, share):
+    # Rows that want one of a group of identical fitted rows tie between the
+    # copies. A tie displaces no row, so row reduction stops well before its
+    # ARR_STEPS * n cap and leaves those rows to the augmenting paths, which
+    # reach scipy's optimal value (tied optima may differ in their map).
+    steps = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            steps.append(1)
+            return super().popleft()
+
+    n = 2000
+    Y, z = _duplicated_first_step(n, 1000, share, 1)
+    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
+    cost = Y @ z.T
+    np.subtract(half_norms, cost, out=cost)
+    expected = linear_sum_assignment(cost)[1]
+    monkeypatch.setattr(assignment, "deque", CountingDeque)
+    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
+    got = assignment.solve_nearest(Y, z).map
+    rows = np.arange(n)
+    assert math.fsum(cost[rows, got]) == math.fsum(cost[rows, expected])
+    assert 0 < len(steps) < assignment.ARR_STEPS * n
 
 
 def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeypatch):
@@ -451,10 +514,11 @@ def _warm_steps(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_warm_steps())
 def test_warm_start_equals_scipy_on_random_fits(case):
-    # The warm start from the nearest rows, past the budget so that augmenting
-    # paths settle what row reduction leaves, against scipy on the cost
-    # matrix: equal values (fsum, so that tied optima sum alike), and the
-    # same map where the optimum is unique (Gaussian fits).
+    # Row reduction from the nearest rows, past the budget so that augmenting
+    # paths settle what it leaves, against scipy on the cost matrix: equal
+    # values (fsum, so that tied optima sum alike), and the same map where the
+    # optimum is unique (Gaussian fits). Up to TREE_SAMPLE rows the nearest
+    # rows come from the blocked scan, the cost matrix's row argmins.
     kind, Y, Z, steps = case
     half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
     cost = Y @ Z.T
@@ -464,7 +528,8 @@ def test_warm_start_equals_scipy_on_random_fits(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assignment, "DENSE_BYTES_MAX", 0)
         mp.setattr(assignment, "ARR_STEPS", steps)
-        got = assignment._warm_lap(Y, Z, half_norms, cost.argmin(axis=1))
+        mp.setattr(assignment, "solve_lap", _no_call)
+        got = assignment.solve_nearest(Y, Z).map
     assert sorted(got) == list(rows)
     assert math.fsum(cost[rows, got]) == math.fsum(cost[rows, expected])
     if kind == "gaussian":
@@ -505,7 +570,7 @@ def test_overflowing_tree_sample_declines_the_tree_without_a_warning():
 
 def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatch):
     # Past the budget the far first step at k = 1000 scans cost rows a few
-    # hundred KB at a time, then the warm start settles its ~450 free rows.
+    # hundred KB at a time, then row reduction settles its ~450 free rows.
     Y, z = _first_dense_step(2000, 1000, 1)
     cost = 0.5 * np.einsum("ij,ij->i", z, z) - Y @ z.T
     expected = linear_sum_assignment(cost)[1]
@@ -518,7 +583,7 @@ def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatc
 
 @pytest.mark.parametrize("n,k", [(2000, 1000), (4000, 2000), (300, 299)])
 def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
-    # Every dense step of a solve whose nearest rows collide: the warm start
+    # Every dense step of a solve whose nearest rows collide: the dense router
     # (past the budget, so it never hands a step to scipy) and
     # linear_sum_assignment on the cost give one map and value. At n = 2000,
     # k = 1000 the first step has about 450 rows without a column, which row
@@ -531,6 +596,7 @@ def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
     inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=1))
     solve(inst, SolverConfig(mode="ksparse"))
     monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
+    monkeypatch.setattr(assignment, "solve_lap", _no_call)
     uncertified = 0
     rows = np.arange(n)
     for z in steps:
@@ -542,10 +608,38 @@ def test_warm_start_equals_scipy_on_every_uncertified_step(monkeypatch, n, k):
         cost = inst.Y @ z.T
         np.subtract(half_norms, cost, out=cost)
         expected = linear_sum_assignment(cost)[1]
-        got = assignment._warm_lap(inst.Y, z, half_norms, nearest)
+        got = assignment.solve_nearest(inst.Y, z).map
         assert np.array_equal(got, expected)
         assert cost[rows, got].sum() == cost[rows, expected].sum()
     assert uncertified >= 1
+
+
+def _relabelling(n, block, rng):
+    """A row relabelling that moves whole blocks of ``block`` rows and the rows
+    within each block, so an equal-size partition maps onto itself."""
+    order = rng.permutation(n // block)[:, None] * block
+    return Permutation((order + rng.permuted(np.tile(np.arange(block), (n // block, 1)),
+                                             axis=1)).ravel())
+
+
+@pytest.mark.parametrize("mode,size", [("ksparse", 200), ("ksparse", 1000), ("rlocal", 10),
+                                       ("rlocal", 100)])
+def test_relabelling_the_rows_relabels_the_solution(mode, size):
+    # Relabel the rows of (B, Y) by s: row i of the new pair is row s(i) of
+    # the old one. The problem is the same, so P_hat must relabel the same way,
+    # p'(i) = s^-1(p(s(i))), in as many iterations, with X_hat equal up to
+    # rounding. The k-sparse relabelling is any permutation of the rows; the
+    # r-local one moves whole equal-size blocks and the rows within them.
+    n = 2000
+    model = KSparse(size) if mode == "ksparse" else RLocal(BlockPartition.equal_blocks(n, size))
+    inst = generate(SynthConfig(n=n, d=50, m=10, model=model, sigma=0.01, seed=1))
+    s = _relabelling(n, 1 if mode == "ksparse" else size, np.random.default_rng(2))
+    moved = data.ProblemInstance(B=apply(s, inst.B), Y=apply(s, inst.Y), partition=inst.partition)
+    config = SolverConfig(mode=mode)
+    base, relabelled = solve(inst, config), solve(moved, config)
+    assert base.iters == relabelled.iters >= 2
+    assert np.array_equal(relabelled.p_hat.map, s.inverse().map[base.p_hat.map[s.map]])
+    np.testing.assert_allclose(relabelled.x_hat, base.x_hat, rtol=0, atol=1e-12)
 
 
 def test_objective_overflow_is_non_finite_error():

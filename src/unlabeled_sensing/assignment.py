@@ -157,16 +157,16 @@ def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray
     A step takes a free row i and its least reduced-cost column j1. With a gap
     to its second-best column j2, it raises p[j1] by that gap and takes j1, and
     the row that held j1 is processed next: an auction with zero increment. On
-    a tie it takes j1 or another free minimizer if there is one, and is else
-    left free for the augmenting paths, so only a strict raise displaces a row.
-    Prices only rise, only on the column a row takes, and float subtraction is
-    monotone, so every other assigned row still holds a minimizer of its reduced
-    costs. A raise that rounds j1 above j2 for row i itself is lowered an ulp at
-    a time until j1 is again a minimizer.
+    a tie it takes a free column among its minimizers, or else j2, and the row
+    that held j2 waits at the back of the queue. Prices only rise, only on the
+    column a row takes, and float subtraction is monotone, so every other
+    assigned row still holds a minimizer of its reduced costs. A raise that
+    rounds j1 above j2 for row i itself is lowered an ulp at a time until j1 is
+    again a minimizer. Ties can displace rows in a cycle forever, which the
+    step cap ends.
     """
     n = Y.shape[0]
     free = deque(np.flatnonzero(col4row < 0).tolist())
-    tied_rows = []
     dot, red = np.empty(n), np.empty(n)
     tied = np.empty(n, dtype=bool)
     for _ in range(ARR_STEPS * n):
@@ -195,16 +195,16 @@ def _reduce_rows(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray
                 red[j1] = u1
                 np.equal(red, u1, out=tied)
                 tied &= row4col < 0
-                if not tied.any():
-                    tied_rows.append(i)
-                    continue
-                j1 = int(tied.argmax())
+                j1 = int(tied.argmax()) if tied.any() else j2
         i0 = int(row4col[j1])
         row4col[j1], col4row[i] = i, j1
         if i0 >= 0:
             col4row[i0] = -1
-            free.appendleft(i0)
-    return tied_rows + list(free)
+            if u1 < u2:
+                free.appendleft(i0)
+            else:
+                free.append(i0)
+    return list(free)
 
 
 def _augment(Y: np.ndarray, Z: np.ndarray, prices: np.ndarray, u: np.ndarray,

@@ -923,14 +923,6 @@ def test_benchmark_command_lines_parse_and_resolve(tmp_path, name, threads):
         assert opts["threads"] == threads
 
 
-def test_every_function_the_benchmark_traces_resolves_in_its_module():
-    # ``--trace 1`` wraps these names where the package binds them; a renamed
-    # or deleted one would stop the traced run.
-    for module, attr, _ in _perfbench("tracing").FUNCTIONS:
-        assert callable(getattr(importlib.import_module(f"unlabeled_sensing.{module}"), attr,
-                                None)), f"{module}.{attr}"
-
-
 def test_benchmark_tracer_wraps_and_restores_every_original():
     # ``--trace 1`` runs inside Tracer().installed(): every traced name must
     # resolve and be wrapped where its module binds it, a traced solve must

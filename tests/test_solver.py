@@ -429,37 +429,6 @@ def test_row_reduction_alone_settles_distinct_and_all_tied_fits(monkeypatch, n):
     assert left == []
 
 
-def _duplicated_first_step(n, k, share, seed):
-    """Y and the fitted rows of the first dense step of a k-sparse solve whose
-    B has ``share`` of its rows overwritten by copies of other rows, as in
-    data with repeated records; Y keeps the instance's permutation and noise."""
-    inst = generate(SynthConfig(n=n, d=50, m=10, model=KSparse(k), sigma=0.01, seed=seed))
-    rng = np.random.default_rng(seed)
-    B = inst.B.copy()
-    B[rng.choice(n, round(share * n), replace=False)] = B[rng.integers(0, n, round(share * n))]
-    Y = apply(inst.p_star, B @ inst.x_star) + (inst.Y - apply(inst.p_star, inst.y_star))
-    return Y, B @ signal_update(B, Y, Permutation.identity(n))
-
-
-@pytest.mark.parametrize("share", [0.05, 0.2])
-def test_duplicated_fitted_rows_reach_scipys_optimal_value(monkeypatch, share):
-    # Rows that want one of a group of identical fitted rows tie between the
-    # copies and displace each other until the ARR_STEPS * n cap; the
-    # augmenting paths settle the rows still free and reach scipy's optimal
-    # value (tied optima may differ in their map).
-    n = 2000
-    Y, z = _duplicated_first_step(n, 1000, share, 1)
-    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
-    cost = Y @ z.T
-    np.subtract(half_norms, cost, out=cost)
-    expected = linear_sum_assignment(cost)[1]
-    monkeypatch.setattr(assignment, "DENSE_BYTES_MAX", 0)
-    got = assignment.solve_nearest(Y, z).map
-    rows = np.arange(n)
-    assert sorted(got) == list(rows)
-    assert math.fsum(cost[rows, got]) == math.fsum(cost[rows, expected])
-
-
 def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeypatch):
     # Complementary slackness in float arithmetic: after row reduction every
     # assigned row holds a minimizer of p[j] - <y_i, z_j>, computed as the

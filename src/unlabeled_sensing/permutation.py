@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -126,10 +126,18 @@ def apply(p: Permutation, A: np.ndarray) -> np.ndarray:
 
 
 def sample_rlocal(partition: BlockPartition, rng: np.random.Generator) -> Permutation:
-    """Uniform r-local permutation: each block carries an independent uniform shuffle."""
+    """Uniform r-local permutation: each block carries an independent uniform shuffle.
+
+    Each run of consecutive equal-size blocks is shuffled row by row with one
+    ``rng.permuted`` call, the same draws, in the same order, as one
+    ``rng.permutation`` per block.
+    """
     out = np.empty(partition.n, dtype=np.intp)
-    for sl in partition.slices():
-        out[sl] = np.arange(sl.start, sl.stop)[rng.permutation(sl.stop - sl.start)]
+    lo = 0
+    for size, run in groupby(partition.sizes):
+        hi = lo + size * sum(1 for _ in run)
+        out[lo:hi] = rng.permuted(np.arange(lo, hi).reshape(-1, size), axis=1).ravel()
+        lo = hi
     return Permutation(out)
 
 

@@ -12,6 +12,11 @@ forms of the fast paths: the pseudoinverse formula applied to a fresh
 fast paths perform the same floating-point operations, so tests compare them
 bit for bit.
 
+``reference_sample_rlocal`` is the r-local sampler as it was before each run
+of equal-size blocks was shuffled by one call: one ``rng.permutation`` per
+block. The sampler must return the same map and leave the generator in the
+same state.
+
 ``reference_read_matrix_csv`` is the matrix CSV reader as it was before
 numpy's C reader took over the common case: every cell through ``csv.reader``
 and ``float()``. The fast reader must return the same array bytes or raise
@@ -118,6 +123,14 @@ def reference_solve(B, Y, partition=None, epsilon=0.01, max_iters=100):
             if change == 0.0 or (denom > 0 and change / denom <= epsilon):
                 break
     return p_map, x, np.asarray(trace)
+
+
+def reference_sample_rlocal(partition: BlockPartition, rng: np.random.Generator) -> np.ndarray:
+    """Map of a uniform r-local permutation, one ``rng.permutation`` per block."""
+    out = np.empty(partition.n, dtype=np.intp)
+    for sl in partition.slices():
+        out[sl] = np.arange(sl.start, sl.stop)[rng.permutation(sl.stop - sl.start)]
+    return out
 
 
 def _is_number(cell: str) -> bool:

@@ -2,7 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_sample_rlocal
 from unlabeled_sensing.errors import InvalidConfig, InvalidK, ShapeMismatch
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            apply, hamming_distortion,
@@ -87,6 +90,19 @@ def test_sample_rlocal_two_by_two_uniform():
     assert len(counts) == 4
     for freq in counts.values():
         assert abs(freq / 4000 - 0.25) <= 0.03
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_rlocal_draws_what_one_permutation_per_block_draws(runs, seed):
+    # Runs of equal-size blocks, neighbouring runs possibly of the same size:
+    # the same map as the per-block loop, and the generator left in the same
+    # state, so every later draw of a synthetic instance is unchanged too.
+    part = BlockPartition(tuple(size for size, count in runs for _ in range(count)))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(sample_rlocal(part, rng).map, reference_sample_rlocal(part, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_ksparse_trivial_cases():

@@ -429,13 +429,12 @@ def test_row_reduction_alone_settles_distinct_and_all_tied_fits(monkeypatch, n):
     assert left == []
 
 
-def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeypatch):
-    # Complementary slackness in float arithmetic: after row reduction every
-    # assigned row holds a minimizer of p[j] - <y_i, z_j>, computed as the
-    # reduction computes it, and u_i is that minimum. Row norms spanning 1e-3
-    # to 1e3 make a raised price round past the second-best column, which the
-    # reduction must lower again.
-    monkeypatch.setattr(assignment, "ARR_STEPS", 64)
+def _scaled_nearest_starts():
+    """300 random fits with row norms spanning 1e-3 to 1e3, each in the state
+    the dense step starts from: the nearest-row matching, where the first row
+    to claim a column keeps it, prices at the half norms, and u_i the cost of
+    each assigned row. Yields Y, Z, the duals, the matching and the assigned
+    rows."""
     rng = np.random.default_rng(14)
     for _ in range(300):
         n, m = rng.integers(2, 30), rng.integers(1, 4)
@@ -446,12 +445,43 @@ def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeyp
         row4col, col4row = np.full(n, -1), np.full(n, -1)
         row4col[taken], col4row[first] = first, taken
         u[first] = prices[taken] - np.einsum("ij,ij->i", Y[first], Z[taken])
+        yield Y, Z, prices, u, row4col, col4row, first
+
+
+def test_row_reduction_leaves_every_assigned_row_on_a_least_reduced_cost(monkeypatch):
+    # Complementary slackness in float arithmetic: after row reduction every
+    # assigned row holds a minimizer of p[j] - <y_i, z_j>, computed as the
+    # reduction computes it, and u_i is that minimum. Row norms spanning 1e-3
+    # to 1e3 make a raised price round past the second-best column, which the
+    # reduction must lower again.
+    monkeypatch.setattr(assignment, "ARR_STEPS", 64)
+    for Y, Z, prices, u, row4col, col4row, first in _scaled_nearest_starts():
         assignment._reduce_rows(Y, Z, prices, u, row4col, col4row)
         for i in np.flatnonzero(col4row >= 0):
-            reduced = prices - Z @ Y[i]
+            reduced = prices - Y[i] @ np.ascontiguousarray(Z.T)
             assert reduced[col4row[i]] == reduced.min()
             if i not in first:
                 assert u[i] == reduced.min()
+
+
+@pytest.mark.parametrize("reduce_first", [True, False], ids=["after_row_reduction", "alone"])
+def test_augmenting_paths_keep_every_row_within_rounding_of_its_least_reduced_cost(
+        reduce_first):
+    # The paths end with every row assigned and each on a least reduced cost
+    # p[j] - <y_i, z_j>, computed as the paths compute it, up to rounding:
+    # their dual updates add and subtract path lengths, so a row may end a few
+    # ulps of its row's scale above its minimum (exact equality holds for row
+    # reduction, above, but not here).
+    for Y, Z, prices, u, row4col, col4row, _ in _scaled_nearest_starts():
+        n = len(Y)
+        free = (assignment._reduce_rows(Y, Z, prices, u, row4col, col4row) if reduce_first
+                else np.flatnonzero(col4row < 0).tolist())
+        assignment._augment(Y, Z, prices, u, row4col, col4row, free)
+        assert (col4row >= 0).all() and np.array_equal(row4col[col4row], np.arange(n))
+        ZT = np.ascontiguousarray(Z.T)
+        for i in range(n):
+            reduced = prices - Y[i] @ ZT
+            assert reduced[col4row[i]] - reduced.min() <= 1e-12 * np.abs(reduced).max()
 
 
 @st.composite

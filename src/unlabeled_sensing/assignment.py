@@ -16,8 +16,8 @@ nearest fitted row. ``_cost`` builds every cost block, a few rows, a stack of
 blocks or a whole matrix, in place. Blocks that fit a memory budget are solved
 as stacks of cost matrices by the kernel above. ``_solve_dense`` routes the
 dense step, and a block past the budget: it finds the nearest rows in O(n m)
-memory at any n, by a KD-tree when the fit is close, else by a scan of a few
-MiB of cost rows at a time. Distinct nearest rows are the optimum outright. A
+memory at any n, by a KD-tree when the fit is close, else by a scan of about
+1 MiB of cost rows at a time. Distinct nearest rows are the optimum outright. A
 step whose nearest rows collide starts from the nearest-row matching: augmenting
 row reduction, then shortest augmenting paths, both computing the cost rows they
 scan on demand, so no n x n matrix is built. Only a step that fits the budget
@@ -48,17 +48,21 @@ from .permutation import BlockPartition, Permutation
 # The dense step tries the KD-tree first at every n: _tree_pays samples
 # TREE_SAMPLE rows and takes the tree up to TREE_FAR_MAX (BENCH_nearest_row.json,
 # BENCH_tree_in_budget.json); a declined tree is replaced by a scan that builds
-# BLOCK_BYTES of cost rows at a time, as fast as one n x n matrix. A step whose
-# nearest rows collide runs at most ARR_STEPS * n steps of augmenting row
-# reduction, and shortest augmenting paths settle the rows it leaves free. But a
-# step whose cost matrix holds at most DENSE_BYTES_MAX bytes (n <= 8192) and
-# that row reduction leaves with more than ARR_LEFT_MAX * n rows free builds
-# that matrix for scipy, which is 3-7x faster than the paths near k = n. The
-# two ARR constants are measured in BENCH_row_reduction.json. A stack of block
-# matrices also holds at most DENSE_BYTES_MAX bytes, and a single block larger
-# than that takes the dense step.
+# BLOCK_BYTES of cost rows at a time, small enough to stay in a 2 MiB L2 cache,
+# but never fewer than BLOCK_ROWS_MIN rows, so the GEMMs stay efficient at
+# n = 20000; the tree's sample is built in the same blocks
+# (BENCH_cache_blocks.json). A step whose nearest rows collide runs at most
+# ARR_STEPS * n steps of augmenting row reduction, and shortest augmenting paths
+# settle the rows it leaves free. But a step whose cost matrix holds at most
+# DENSE_BYTES_MAX bytes (n <= 8192) and that row reduction leaves with more than
+# ARR_LEFT_MAX * n rows free builds that matrix for scipy, which is 4-6x faster
+# than the paths near k = n. The two ARR constants are measured in
+# BENCH_row_reduction.json. A stack of block matrices also holds at most
+# DENSE_BYTES_MAX bytes, and a single block larger than that takes the dense
+# step.
 DENSE_BYTES_MAX = 2**29
-BLOCK_BYTES = 2**22
+BLOCK_BYTES = 2**20
+BLOCK_ROWS_MIN = 16
 TREE_SAMPLE = 64
 TREE_FAR_MAX = 4.0
 ARR_STEPS = 2
@@ -279,13 +283,20 @@ def _cost(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
     return cost
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block of cost rows of length n: BLOCK_BYTES of them, but at
+    least BLOCK_ROWS_MIN."""
+    return max(BLOCK_ROWS_MIN, BLOCK_BYTES // (8 * n))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
     """Whether a KD-tree is likely to find the nearest fitted rows faster than
-    the cost rows would, judged from TREE_SAMPLE evenly spaced rows of ``Y``.
-    With at most TREE_SAMPLE rows the sample would be the whole matrix, so the
-    step builds the cost instead. A sample whose distances overflow reads NaN
-    and declines the tree, leaving the cost route to report any overflow.
+    the cost rows would, judged from TREE_SAMPLE evenly spaced rows of ``Y``,
+    whose cost rows are built in the blocks of the scan. With at most
+    TREE_SAMPLE rows the sample would be the whole matrix, so the step builds
+    the cost instead. A sample whose distances overflow reads NaN and declines
+    the tree, leaving the cost route to report any overflow.
 
     A query must search every cell that a ball of the nearest distance d1 meets,
     about (1 + d1 / d2)^m of them when the second-nearest row lies at d2. The
@@ -295,21 +306,38 @@ def _tree_pays(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> bool:
     if n <= TREE_SAMPLE:
         return False
     sample = Y[np.arange(TREE_SAMPLE) * n // TREE_SAMPLE]
-    half_sq = _cost(sample, Z, half_norms)
-    half_sq += 0.5 * np.einsum("ij,ij->i", sample, sample)[:, None]
-    d1, d2 = np.partition(half_sq, 1, axis=1)[:, :2].clip(min=0).T
+    nearest = np.empty((TREE_SAMPLE, 2))
+    rows = _block_rows(n)
+    for lo in range(0, TREE_SAMPLE, rows):
+        block = sample[lo:lo + rows]
+        half_sq = _cost(block, Z, half_norms)
+        half_sq += 0.5 * np.einsum("ij,ij->i", block, block)[:, None]
+        nearest[lo:lo + rows] = np.partition(half_sq, 1, axis=1)[:, :2]
+    d1, d2 = nearest.clip(min=0).T
     ratio = np.divide(d1, d2, out=np.ones_like(d1), where=d2 > 0)
     return bool(m * np.log1p(np.sqrt(np.median(ratio))) <= TREE_FAR_MAX)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _nearest_blocked(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
-    """Each row's least-cost column, from cost rows built BLOCK_BYTES at a time."""
+    """Each row's least-cost column, from blocks of ``_block_rows(n)`` cost rows.
+
+    By Cauchy-Schwarz every cost entry is at most ymax * zmax + max(half_norms)
+    in size, with ymax and zmax the largest row norms of ``Y`` and ``Z``. When
+    that is below 2^1000, no entry, nor any partial sum of its dot product, can
+    overflow, so the blocks are not checked; otherwise (or if a norm is NaN or
+    Inf) each block is checked entry by entry, and NonFinite is raised for the
+    first that holds a NaN or Inf.
+    """
     n = Y.shape[0]
-    rows = max(1, BLOCK_BYTES // (8 * n))
+    rows = _block_rows(n)
+    h_max = half_norms.max()
+    y_max = np.sqrt(np.einsum("ij,ij->i", Y, Y).max())
+    checked = not y_max * np.sqrt(2 * h_max) + h_max < 2.0**1000
     cols = np.empty(n, dtype=np.intp)
     for lo in range(0, n, rows):
         cost = _cost(Y[lo:lo + rows], Z, half_norms)
-        if not np.isfinite(cost).all():
+        if checked and not np.isfinite(cost).all():
             raise NonFinite("cost matrix contains NaN or Inf entries")
         cols[lo:lo + rows] = cost.argmin(axis=1)
     return cols
@@ -361,8 +389,8 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     """Permutation p minimizing sum_i ||y_i - z_{p.map[i]}||^2 over all permutations,
     or over those that are block diagonal under ``partition``.
 
-    ``Y`` and ``Z`` are finite (n, m) arrays, and ``partition`` covers their n
-    rows (else ShapeMismatch). Equivalently p maximizes the reward
+    ``Y`` and ``Z`` are finite (n, m) arrays with n >= 1, and ``partition``
+    covers their n rows (else ShapeMismatch). Equivalently p maximizes the reward
     sum_i <y_i, z_p(i)> - ||z_p(i)||^2 / 2, or minimizes the cost
     ``||z_j||^2 / 2 - <y_i, z_j>``, bit for bit the reward negated.
 
@@ -379,6 +407,9 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     NonFinite if a squared norm, distance or cost overflows; a block's error
     names its row offset in ``Y``.
     """
+    if Y.ndim != 2 or Z.shape != Y.shape or Y.shape[0] < 1:
+        raise ShapeMismatch(f"Y and Z must be (n, m) arrays of one shape with n >= 1, "
+                            f"got {Y.shape} and {Z.shape}")
     n, m = Y.shape
     if partition is not None and partition.n != n:
         raise ShapeMismatch(f"partition covers {partition.n} rows but Y has {n}")

@@ -10,6 +10,7 @@ checks it the same way whichever source it came from. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -463,7 +464,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``unsense`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="unsense",
         description="Recover a signal and a structured permutation from permuted linear measurements.")

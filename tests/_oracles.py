@@ -17,6 +17,11 @@ of equal-size blocks was shuffled by one call: one ``rng.permutation`` per
 block. The sampler must return the same map and leave the generator in the
 same state.
 
+``reference_nearest_blocked`` is the blocked nearest-row scan as it was before
+one overflow bound per step replaced its per-block finiteness check: the same
+blocks and the same cost arithmetic, each block checked entry by entry. The
+scan must return the same columns or raise the same error.
+
 ``reference_read_matrix_csv`` is the matrix CSV reader as it was before
 numpy's C reader took over the common case: every cell through ``csv.reader``
 and ``float()``. The fast reader must return the same array bytes or raise
@@ -37,9 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
+from unlabeled_sensing import assignment
 from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
-from unlabeled_sensing.errors import InvalidRange, InvalidSpec, ParseError, ShapeMismatch
+from unlabeled_sensing.errors import (InvalidRange, InvalidSpec, NonFinite, ParseError,
+                                     ShapeMismatch)
 from unlabeled_sensing.linalg import as_matrix, pinv_solve, row_space_projector
 from unlabeled_sensing.permutation import BlockPartition, apply, sample_ksparse
 from unlabeled_sensing.theory import (BoundReport, binomial_margin, const_c1, const_c2,
@@ -131,6 +138,20 @@ def reference_sample_rlocal(partition: BlockPartition, rng: np.random.Generator)
     for sl in partition.slices():
         out[sl] = np.arange(sl.start, sl.stop)[rng.permutation(sl.stop - sl.start)]
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_nearest_blocked(Y: np.ndarray, Z: np.ndarray, half_norms: np.ndarray) -> np.ndarray:
+    """Each row's least-cost column, every block of cost rows checked for NaN or Inf."""
+    n = Y.shape[0]
+    rows = assignment._block_rows(n)
+    cols = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        cost = assignment._cost(Y[lo:lo + rows], Z, half_norms)
+        if not np.isfinite(cost).all():
+            raise NonFinite("cost matrix contains NaN or Inf entries")
+        cols[lo:lo + rows] = cost.argmin(axis=1)
+    return cols
 
 
 def _is_number(cell: str) -> bool:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from _oracles import (all_permutations, brute_force_lap, brute_force_min_objective,
-                      reference_solve)
+                      reference_nearest_blocked, reference_solve)
 from unlabeled_sensing import assignment, data, linalg, solver
 from unlabeled_sensing.assignment import solve_blockwise, solve_lap
 from unlabeled_sensing.cli import _result_metrics
@@ -188,6 +189,17 @@ def test_blockwise_step_in_chunks_equals_solve_blockwise_on_the_block_rewards(mo
                         lambda R, *a, **kw: stacks.append(R.shape) or real(R, *a, **kw))
     assert np.array_equal(assignment.solve_nearest(Y, Z, part).map, expected)
     assert stacks == [(3, 3, 3), (2, 3, 3), (1, 2, 2), (1, 4, 4), (1, 4, 4), (1, 4, 4)]
+
+
+@pytest.mark.parametrize("Y,Z", [
+    (np.ones((0, 2)), np.ones((0, 2))),
+    (np.ones((3, 2)), np.ones((4, 2))),
+    (np.ones((3, 2)), np.ones((3, 3))),
+    (np.ones(3), np.ones(3)),
+], ids=["no rows", "more fitted rows", "column mismatch", "one-dimensional"])
+def test_solve_nearest_needs_y_and_z_of_one_2d_shape_with_rows(Y, Z):
+    with pytest.raises(ShapeMismatch, match="Y and Z must be"):
+        assignment.solve_nearest(Y, Z)
 
 
 def test_solve_nearest_partition_not_covering_the_rows_is_shape_mismatch():
@@ -556,6 +568,55 @@ def test_overflowing_tree_sample_declines_the_tree_without_a_warning():
     assert not assignment._tree_pays(Y, z, 0.5 * np.einsum("ij,ij->i", z, z))
     assert np.array_equal(assignment.solve_nearest(Y, z).map,
                           solve_lap(cost, maximize=False)[0].map)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.integers(0, 160), n=st.integers(1, 40), m=st.integers(1, 4),
+       rows=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_bounded_scan_returns_the_checked_scans_columns_or_both_raise(e, n, m, rows, seed):
+    # Y and Z scaled by 10^e: up to about e = 150 the step's norm bound proves
+    # every cost entry finite and the blocks go unchecked; past it the blocks
+    # are checked one by one, and from about e = 154 the cost overflows. Either
+    # way the scan agrees with one that checks every block, without a numpy
+    # warning, over blocks of a few rows.
+    rng = np.random.default_rng(seed)
+    Y, Z = 10.0**e * rng.standard_normal((2, n, m))
+    with np.errstate(over="ignore"):
+        half_norms = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(assignment, "BLOCK_ROWS_MIN", 1)
+        mp.setattr(assignment, "BLOCK_BYTES", 8 * n * rows)
+        try:
+            expected = reference_nearest_blocked(Y, Z, half_norms)
+        except NonFinite:
+            with pytest.raises(NonFinite, match="cost matrix contains NaN or Inf"):
+                assignment._nearest_blocked(Y, Z, half_norms)
+        else:
+            assert np.array_equal(assignment._nearest_blocked(Y, Z, half_norms), expected)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_scan_and_tree_sample_blocks_fit_block_bytes(monkeypatch, n):
+    # Every block of cost rows the scan or the tree's sample builds holds at
+    # most BLOCK_BYTES, unless it is BLOCK_ROWS_MIN rows long (n = 20000, past
+    # the memory budget), and together the blocks cover every row once.
+    rng = np.random.default_rng(11)
+    Y, z = rng.standard_normal((2, n, 2))
+    half_norms = 0.5 * np.einsum("ij,ij->i", z, z)
+    built = _spy_cost(monkeypatch)
+    assignment._tree_pays(Y, z, half_norms)
+    sample = list(built)
+    cols = assignment._nearest_blocked(Y, z, half_norms)
+    scan = built[len(sample):]
+    assert sum(rows for rows, _ in sample) == assignment.TREE_SAMPLE
+    assert sum(rows for rows, _ in scan) == n
+    for rows, width in sample + scan:
+        assert width == n
+        assert 8 * rows * width <= assignment.BLOCK_BYTES or rows == assignment.BLOCK_ROWS_MIN
+    assert (len(sample), len(scan)) == ((1, 31) if n == 2000 else (4, 1250))
+    _, nearest = cKDTree(z).query(Y[:500])
+    assert np.array_equal(cols[:500], nearest)
 
 
 def test_far_fit_past_the_memory_budget_scans_blocks_then_warm_starts(monkeypatch):

@@ -29,6 +29,7 @@ from .data import (BlockRule, ProblemInstance, SynthConfig, evaluate, generate,
                    ingest_csv, is_count, is_real, load_bundle, oracle_and_naive,
                    read_json, save_bundle, write_matrix_csv)
 from .errors import InvalidConfig, InvalidSpec, UnlabeledSensingError
+from .linalg import blas_threads
 from .permutation import BlockPartition, KSparse, RLocal, hamming_distortion
 from .solver import SolverConfig, solve
 
@@ -421,11 +422,67 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
     return suite
 
 
+def _run_checks(suite: list[tuple[str, dict]], seed: int) -> list:
+    """Each check's report or the exception it raised, in suite order.
+
+    With the OpenBLAS numpy loaded pinned to one thread, the main thread and
+    one worker per further usable core take the checks in suite order. When
+    the library cannot be reached, or one core or one check leaves nothing to
+    share, the main thread runs them alone with BLAS left as it is. Check
+    ``idx`` draws from ``SeedSequence((seed, idx))``, so no report depends on
+    the thread that ran it. Once a check raises, no thread takes another, and
+    the entries after the taken ones stay None.
+    """
+    import os
+    import threading
+
+    outcomes: list = [None] * len(suite)
+    lock = threading.Lock()
+    taken = 0
+
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                if taken == len(suite):
+                    return
+                idx, taken = taken, taken + 1
+            name, params = suite[idx]
+            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+            try:
+                outcomes[idx] = CHECK_FUNCS[name](rng=rng, **params)
+            except Exception as exc:  # the caller raises it in suite order
+                outcomes[idx] = exc
+                with lock:
+                    taken = len(suite)
+
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    helpers = min(cores, len(suite)) - 1
+    if not helpers:
+        work()
+        return outcomes
+    # The checks' small SVDs would contend for BLAS's own threads.
+    with blas_threads(1) as pinned:
+        workers = [threading.Thread(target=work) for _ in range(helpers if pinned else 0)]
+        for worker in workers:
+            worker.start()
+        try:
+            work()
+        finally:
+            with lock:
+                taken = len(suite)  # an interrupted main thread stops the workers too
+            for worker in workers:
+                worker.join()
+    return outcomes
+
+
 def cmd_validate_theory(opts: dict) -> int:
+    suite = _suite(opts)
     reports = []
-    for idx, (name, params) in enumerate(_suite(opts)):
-        rng = np.random.default_rng(np.random.SeedSequence((opts["seed"], idx)))
-        report = CHECK_FUNCS[name](rng=rng, **params)
+    for (name, _), report in zip(suite, _run_checks(suite, opts["seed"])):
+        if isinstance(report, Exception):
+            raise report
         reports.append(report)
         status = "passed" if report.passed else "FAILED"
         bound_text = "none" if report.bound is None else f"{report.bound:.4g}"

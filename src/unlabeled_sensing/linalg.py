@@ -4,11 +4,14 @@ Thin SVD, Moore-Penrose pseudoinverse solves and orthogonal projectors onto
 row spaces. Everything here is a pure function of float64 arrays; the
 factorization itself is delegated to LAPACK via ``numpy.linalg``, the
 contracts (finiteness checks, rank tolerance, minimum-norm semantics) are
-owned by this module.
+owned by this module, and so is ``blas_threads``, which sets how many threads
+that LAPACK's BLAS runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,3 +105,51 @@ def row_space_projector(A) -> np.ndarray:
     f = svd(A)
     Vr = f.V[:, :f.rank]
     return Vr @ Vr.T
+
+
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looks in numpy's bundled ``numpy.libs`` for an ``openblas`` library with
+    the ``scipy_openblas...64_`` or ``openblas...`` symbol names; a numpy built
+    against another BLAS, or installed without that directory, has none.
+    """
+    import ctypes
+    import glob
+    import os
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def blas_threads(count: int) -> Iterator[bool]:
+    """Run the block with the OpenBLAS numpy loaded set to ``count`` threads.
+
+    Yields whether it could: False, with nothing changed, when the library or
+    its thread-count functions cannot be found. On exit, also when the block
+    raises, the count the library had before is restored. The count is
+    process-wide: BLAS calls from every thread run at ``count`` during the block.
+    """
+    controls = _openblas()
+    if controls is None:
+        yield False
+        return
+    get, put = controls
+    before = get()
+    put(count)
+    try:
+        yield True
+    finally:
+        put(before)

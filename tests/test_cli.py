@@ -1,4 +1,5 @@
 import argparse
+import functools
 import importlib.util
 import inspect
 import json
@@ -11,6 +12,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unlabeled_sensing
-from unlabeled_sensing import solver
-from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, _resolve,
-                                   build_parser, main)
+from unlabeled_sensing import linalg, solver
+from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, DEFAULT_SUITE,
+                                   _resolve, build_parser, main)
 from unlabeled_sensing.data import (SynthConfig, generate, load_bundle, read_matrix_csv,
                                     write_matrix_csv)
 from unlabeled_sensing.errors import InvalidConfig
@@ -455,7 +457,115 @@ def test_validate_theory_spec_exit_code_is_0_1_or_2(payload):
     assert code in (0, 1, 2)
 
 
+# validate-theory runs its checks on the main thread plus one worker per
+# further usable core, with numpy's OpenBLAS pinned to one thread. With that
+# library out of reach it runs the checks one after another on the main
+# thread and leaves BLAS alone. Both must return, print and write the same.
+OPENBLAS = linalg._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that validate-theory starts a worker on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _spied(check, seen, get):
+    """``check``, with the signature the spec check reads, noting its thread and BLAS count."""
+    @functools.wraps(check)
+    def spied(**kwargs):
+        seen.append((threading.get_ident(), get()))
+        return check(**kwargs)
+    return spied
+
+
+def _validate_alone_and_threaded(monkeypatch, capsys, tmp_path, argv):
+    """``validate-theory argv`` with numpy's OpenBLAS out of reach, then threaded.
+
+    BLAS is set to 3 threads first. Asserts that both runs return the same
+    code, print the same lines and write the same reports.json bytes (or
+    none); that the one-thread loop ran the checks up to the first that
+    raises on this thread with BLAS at 3, and the threaded run its checks
+    with BLAS at 1; and that BLAS is back at 3 after each run. Returns the
+    threaded run's (code, stdout, stderr, reports bytes or None) and the
+    idents of the threads that ran its checks.
+    """
+    get, put = OPENBLAS
+    found = get()
+    put(3)
+    try:
+        runs, threads = [], []
+        for alone in (True, False):
+            seen = []
+            with monkeypatch.context() as patch:
+                for name, check in CHECK_FUNCS.items():
+                    patch.setitem(CHECK_FUNCS, name, _spied(check, seen, get))
+                if alone:
+                    patch.setattr(linalg, "_openblas", lambda: None)
+                out = tmp_path / ("alone" if alone else "threaded") / "reports.json"
+                rc = run(["validate-theory", *argv, "--out", out])
+            printed = capsys.readouterr()
+            runs.append((rc, printed.out.replace(str(out), "<out>"), printed.err,
+                         out.read_bytes() if out.exists() else None))
+            threads.append({ident for ident, _ in seen})
+            assert {count for _, count in seen} == {3 if alone else 1}
+            if alone:  # the loop runs no check past the first that raises
+                assert len(seen) == printed.out.count("check ") + (rc == 2)
+            assert get() == 3
+    finally:
+        put(found)
+    assert runs[0] == runs[1]
+    assert threads[0] == {threading.get_ident()}
+    return runs[1], threads[1]
+
+
+@needs_openblas
+@pytest.mark.parametrize("seed", [1, 9173])
+def test_threaded_default_suite_matches_the_one_thread_loop(two_cores, monkeypatch, capsys,
+                                                            tmp_path, seed):
+    (rc, out, err, reports), threads = _validate_alone_and_threaded(
+        monkeypatch, capsys, tmp_path, ["--trials", 20, "--seed", seed])
+    assert rc in (0, 1) and err == ""
+    assert [r["check"] for r in json.loads(reports)] == list(DEFAULT_SUITE)
+    assert sum(line.startswith("check ") for line in out.splitlines()) == len(DEFAULT_SUITE)
+    assert len(threads) == 2  # the main thread and the worker each ran checks
+
+
+_CHI2 = {"check": "chi2", "params": {"trials": 50}}
+_LEMMA2 = {"check": "lemma2", "params": {"trials": 50}}
+THREADED_SPECS = {
+    "repeated check": ([_CHI2, _LEMMA2, _CHI2], 0, ["chi2", "lemma2", "chi2"]),
+    "failed check": ([_CHI2, {"check": "lemma1", "params": {"t": 0.01, "trials": 20}}, _LEMMA2],
+                     1, ["chi2", "lemma1", "lemma2"]),
+    # s = d raises InvalidRange inside the check: the lines before it are
+    # printed, none after, and no report is written
+    "check that raises": ([_CHI2, {"check": "lemma1", "params": {"d": 8, "s": 8, "trials": 20}},
+                           _LEMMA2], 2, ["chi2"]),
+}
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", sorted(THREADED_SPECS))
+def test_threaded_spec_matches_the_one_thread_loop(two_cores, monkeypatch, capsys, tmp_path,
+                                                   case):
+    entries, code, printed = THREADED_SPECS[case]
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": entries}))
+    (rc, out, err, reports), _ = _validate_alone_and_threaded(
+        monkeypatch, capsys, tmp_path, ["--spec", spec, "--seed", 3])
+    assert rc == code
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("check ")] == [
+        f"check {name}" for name in printed]
+    if code == 2:
+        assert reports is None and err == "error: need 0 <= s < d, got s=8, d=8\n"
+    else:
+        assert [r["check"] for r in json.loads(reports)] == printed
+        assert ("FAILED" in out) == (code == 1)
+
+
 # ------------------------------------------------------------- config file
+
 
 def test_config_file_with_flag_precedence(tmp_path):
     config = tmp_path / "conf.json"
@@ -950,6 +1060,27 @@ def test_benchmark_tracer_wraps_and_restores_every_original():
     for name, module in modules.items():
         assert all(vars(module)[key] is value for key, value in before[name].items()), name
     assert Permutation.__init__ is init and CHECK_FUNCS == checks
+
+
+@needs_openblas
+def test_benchmark_tracer_records_one_span_per_check_of_a_threaded_suite(two_cores, tmp_path,
+                                                                         capsys):
+    # The checks run on two threads inside the traced op. The span recorder
+    # assumes one thread, so only the span count per check is asserted.
+    tracing = _perfbench("tracing")
+    modules = {name: module for name, module in sys.modules.items()
+               if name.split(".")[0] == "unlabeled_sensing"}
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    checks = dict(CHECK_FUNCS)
+    with tracing.Tracer().installed() as tracer:
+        rc = run(["validate-theory", "--trials", 5, "--seed", 1, "--out", tmp_path / "r.json"])
+    assert rc in (0, 1)
+    assert sorted(name for name in tracer.names if name.startswith("theory.")) == sorted(
+        f"theory.{name}" for name in DEFAULT_SUITE)
+    for name, module in modules.items():
+        assert all(vars(module)[key] is value for key, value in before[name].items()), name
+    assert CHECK_FUNCS == checks
+    capsys.readouterr()
 
 
 def _readme_command_lines():

@@ -1,9 +1,16 @@
+import glob
+
 import numpy as np
 import pytest
 
 from _oracles import reference_pinv_solve
+from unlabeled_sensing import linalg
 from unlabeled_sensing.errors import NonFinite, ShapeMismatch
-from unlabeled_sensing.linalg import pinv_solve, row_space_projector, svd
+from unlabeled_sensing.linalg import blas_threads, pinv_solve, row_space_projector, svd
+
+# The thread-count functions of the OpenBLAS numpy loaded, when it can be reached.
+OPENBLAS = linalg._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
 
 
 def test_svd_identity():
@@ -160,3 +167,41 @@ def test_svd_factors_solve_checks_right_hand_side():
         f.solve(np.ones((4, 1)))
     with pytest.raises(NonFinite):
         f.solve(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.fixture
+def blas_at_two():
+    """The OpenBLAS thread count set to 2 for the test, and the test's own count restored."""
+    get, put = OPENBLAS
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+@needs_openblas
+def test_blas_threads_restores_the_previous_count_on_exit_and_on_raise(blas_at_two):
+    get = blas_at_two
+    with blas_threads(1) as pinned:
+        assert pinned and get() == 1
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError), blas_threads(1):
+        assert get() == 1
+        1 / 0
+    assert get() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("found", ["nothing", "not a library"])
+def test_blas_threads_yields_false_and_changes_nothing_without_the_library(
+        blas_at_two, monkeypatch, tmp_path, found):
+    get = blas_at_two
+    junk = tmp_path / "libopenblas.so"
+    junk.write_bytes(b"not an ELF file")  # ctypes raises OSError loading it
+    monkeypatch.setattr(glob, "glob", lambda pattern: [] if found == "nothing" else [str(junk)])
+    assert linalg._openblas() is None
+    with blas_threads(1) as pinned:
+        assert pinned is False and get() == 2
+    assert get() == 2

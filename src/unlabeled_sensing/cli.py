@@ -29,7 +29,7 @@ from .data import (BlockRule, ProblemInstance, SynthConfig, evaluate, generate,
                    ingest_csv, is_count, is_real, load_bundle, oracle_and_naive,
                    read_json, save_bundle, write_matrix_csv)
 from .errors import InvalidConfig, InvalidSpec, UnlabeledSensingError
-from .linalg import blas_threads
+from .linalg import blas_for, blas_threads
 from .permutation import BlockPartition, KSparse, RLocal, hamming_distortion
 from .solver import SolverConfig, solve
 
@@ -219,7 +219,9 @@ def cmd_solve(opts: dict) -> int:
     bundle_dir = Path(opts["instance"])
     instance = load_bundle(bundle_dir)
     mode = opts["mode"] or _mode(instance)
-    result = solve(instance, SolverConfig(mode, opts["epsilon"], opts["max_iters"]))
+    with blas_for(instance.B.size):
+        result = solve(instance, SolverConfig(mode, opts["epsilon"], opts["max_iters"]))
+        metrics = _result_metrics(instance, result)
 
     out = Path(opts["out"] or bundle_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -231,7 +233,7 @@ def cmd_solve(opts: dict) -> int:
         "final_objective": result.final_objective,
         "objective_trace": [float(f) for f in result.objective_trace],
         "mode": mode,
-        "metrics": _result_metrics(instance, result),
+        "metrics": metrics,
     }
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n",
                                      encoding="utf-8")
@@ -316,13 +318,16 @@ def cmd_bench(opts: dict) -> int:
     config_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
 
     tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(spec["seeds"])]
-    if opts["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-            records = list(pool.map(lambda t: _bench_task(spec, config_hash, *t), tasks))
-    else:
-        # Not a one-worker pool: the pool thread's own malloc arena raised the
-        # rlocal_sweep benchmark's peak RSS from 128 to 195 MB.
-        records = [_bench_task(spec, config_hash, *t) for t in tasks]
+    # Every task's B is n x d; the pin is set before the pool starts and
+    # restored after its last task.
+    with blas_for(spec["n"] * spec["d"]):
+        if opts["threads"] > 1:
+            with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
+                records = list(pool.map(lambda t: _bench_task(spec, config_hash, *t), tasks))
+        else:
+            # Not a one-worker pool: the pool thread's own malloc arena raised the
+            # rlocal_sweep benchmark's peak RSS from 128 to 195 MB.
+            records = [_bench_task(spec, config_hash, *t) for t in tasks]
     records.sort(key=lambda rec: (rec.sweep_value, rec.seed))
 
     out = Path(opts["out"])

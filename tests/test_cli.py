@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unlabeled_sensing
-from unlabeled_sensing import linalg, solver
+from unlabeled_sensing import cli, linalg, solver
 from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, DEFAULT_SUITE,
                                    _resolve, build_parser, main)
 from unlabeled_sensing.data import (SynthConfig, generate, load_bundle, read_matrix_csv,
@@ -471,12 +471,12 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def _spied(check, seen, get):
-    """``check``, with the signature the spec check reads, noting its thread and BLAS count."""
-    @functools.wraps(check)
-    def spied(**kwargs):
+def _spied(func, seen, get):
+    """``func``, with the signature the spec check reads, noting its thread and BLAS count."""
+    @functools.wraps(func)
+    def spied(*args, **kwargs):
         seen.append((threading.get_ident(), get()))
-        return check(**kwargs)
+        return func(*args, **kwargs)
     return spied
 
 
@@ -562,6 +562,154 @@ def test_threaded_spec_matches_the_one_thread_loop(two_cores, monkeypatch, capsy
     else:
         assert [r["check"] for r in json.loads(reports)] == printed
         assert ("FAILED" in out) == (code == 1)
+
+
+# bench and solve run on one BLAS thread when their B has at most
+# linalg.BLAS_SERIAL_MAX entries, and leave BLAS alone above that. With
+# numpy's OpenBLAS out of reach they leave it alone at any size; both must
+# write the same bytes. 2048 x 256 is exactly the limit.
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS set to 2 threads for the test; yields its get function.
+
+    Not more: above the limit, a count past the core count made OpenBLAS's
+    SVD of a 2048 x 257 matrix 80 times slower on a 2-core VM.
+    """
+    get, put = OPENBLAS
+    found = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(found)
+
+
+def _note_blas(patch, name, seen, get):
+    """Patch ``cli.<name>`` to note the BLAS thread count in ``seen`` at each call."""
+    patch.setattr(cli, name, _spied(getattr(cli, name), seen, get))
+
+
+def _counts(seen):
+    return [count for _, count in seen]
+
+
+def _without_wall(path):
+    """The lines of a bench output with its wall-clock fields removed."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".jsonl":
+        return [json.dumps({k: v for k, v in json.loads(line).items() if k != "wall_ms"})
+                for line in lines]
+    rows = [line.split(",") for line in lines]
+    keep = [i for i, name in enumerate(rows[0]) if not name.endswith("wall_ms")]
+    return [",".join(row[i] for i in keep) for row in rows]
+
+
+_BENCH_AT_2000 = ["bench", "--seeds", 2, "--n", 2000, "--d", 10, "--m", 5, "--sigma", 0.01,
+                  "--seed", 5]
+BLAS_SWEEPS = {"k": ["--sweep", "k", "--grid", "50,1000"],
+               "r": ["--sweep", "r", "--grid", "10,100"]}
+
+
+@needs_openblas
+@pytest.mark.parametrize("sweep", sorted(BLAS_SWEEPS))
+def test_bench_below_the_limit_runs_on_one_blas_thread_and_writes_the_unpinned_rows(
+        blas_at_two, monkeypatch, tmp_path, sweep):
+    get = blas_at_two
+    written = {}
+    for threads in (1, 2):
+        for pinned in (True, False):
+            seen = []
+            with monkeypatch.context() as patch:
+                _note_blas(patch, "solve", seen, get)
+                if not pinned:
+                    patch.setattr(linalg, "_openblas", lambda: None)
+                run_dir = f"threads{threads}_{'pinned' if pinned else 'alone'}"
+                out = tmp_path / run_dir / "sweep.csv"
+                assert run([*_BENCH_AT_2000, *BLAS_SWEEPS[sweep], "--threads", threads,
+                            "--out", out]) == 0
+            assert _counts(seen) == [1 if pinned else 2] * 4
+            assert get() == 2
+            written[threads, pinned] = [_without_wall(out.with_name(name)) for name in
+                                        ("sweep.csv", "sweep_agg.csv", "sweep_runs.jsonl")]
+    assert all(files == written[1, False] for files in written.values())
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bench_restores_blas_after_an_error_inside_the_pin(blas_at_two, monkeypatch, tmp_path,
+                                                           capsys, threads):
+    seen = []  # SynthConfig raises for k = 2001, after the k = 50 tasks have solved
+    _note_blas(monkeypatch, "SynthConfig", seen, blas_at_two)
+    assert run([*_BENCH_AT_2000, "--sweep", "k", "--grid", "50,2001", "--threads", threads,
+                "--out", tmp_path / "sweep.csv"]) == 2
+    assert capsys.readouterr().err == "error: k=2001 exceeds n=2000\n"
+    assert len(seen) >= 3 and set(_counts(seen)) == {1}
+    assert blas_at_two() == 2
+
+
+def _ksparse_bundle(tmp_path, n=200, d=5, k=40):
+    bundle = tmp_path / "bundle"
+    assert run(["synth", "--n", n, "--d", d, "--m", 3, "--model", "ksparse", "--k", k,
+                "--sigma", 0.01, "--seed", 4, "--out", bundle]) == 0
+    return bundle
+
+
+@needs_openblas
+def test_solve_runs_on_one_blas_thread_and_writes_the_unpinned_bytes(blas_at_two, monkeypatch,
+                                                                    tmp_path, capsys):
+    get = blas_at_two
+    bundle = _ksparse_bundle(tmp_path)
+    written = {}
+    for pinned in (True, False):
+        seen = []
+        with monkeypatch.context() as patch:
+            for name in ("solve", "oracle_and_naive"):  # the solve and its scoring
+                _note_blas(patch, name, seen, get)
+            if not pinned:
+                patch.setattr(linalg, "_openblas", lambda: None)
+            out = tmp_path / ("pinned" if pinned else "alone")
+            assert run(["solve", bundle, "--out", out]) == 0
+        assert _counts(seen) == [1 if pinned else 2] * 2
+        assert get() == 2
+        written[pinned] = [(out / name).read_bytes()
+                           for name in ("P_hat.json", "X_hat.csv", "result.json")]
+    assert written[True] == written[False]
+    capsys.readouterr()
+
+
+@needs_openblas
+def test_solve_restores_blas_after_an_error_inside_the_pin(blas_at_two, monkeypatch, tmp_path,
+                                                           capsys):
+    bundle = _ksparse_bundle(tmp_path)
+    seen = []
+    _note_blas(monkeypatch, "solve", seen, blas_at_two)
+    assert run(["solve", bundle, "--mode", "rlocal"]) == 2
+    assert "rlocal mode requires an instance with a partition" in capsys.readouterr().err
+    assert _counts(seen) == [1]
+    assert blas_at_two() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("command", ["bench", "solve"])
+@pytest.mark.parametrize("d,pinned", [(256, True), (257, False)])
+def test_bench_and_solve_pin_blas_up_to_the_limit_and_never_above_it(
+        blas_at_two, monkeypatch, tmp_path, capsys, command, d, pinned):
+    assert (2048 * d <= linalg.BLAS_SERIAL_MAX) == pinned
+    if command == "bench":  # two workers, one solve each
+        argv = ["bench", "--sweep", "r", "--grid", 1, "--seeds", 2, "--n", 2048, "--d", d,
+                "--m", 1, "--seed", 0, "--threads", 2, "--out", tmp_path / "sweep.csv"]
+    else:
+        argv = ["solve", _ksparse_bundle(tmp_path, n=2048, d=d, k=0)]
+    seen, looked = [], []
+    find = linalg._openblas
+    monkeypatch.setattr(linalg, "_openblas", lambda: looked.append(True) or find())
+    _note_blas(monkeypatch, "solve", seen, blas_at_two)
+    assert run(argv) == 0
+    assert _counts(seen) == [1 if pinned else 2] * (2 if command == "bench" else 1)
+    assert bool(looked) is pinned  # above the limit BLAS's count is never read or set
+    assert blas_at_two() == 2
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------- config file

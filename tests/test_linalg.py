@@ -6,7 +6,8 @@ import pytest
 from _oracles import reference_pinv_solve
 from unlabeled_sensing import linalg
 from unlabeled_sensing.errors import NonFinite, ShapeMismatch
-from unlabeled_sensing.linalg import blas_threads, pinv_solve, row_space_projector, svd
+from unlabeled_sensing.linalg import (blas_for, blas_threads, pinv_solve, row_space_projector,
+                                      svd)
 
 # The thread-count functions of the OpenBLAS numpy loaded, when it can be reached.
 OPENBLAS = linalg._openblas()
@@ -203,5 +204,18 @@ def test_blas_threads_yields_false_and_changes_nothing_without_the_library(
     monkeypatch.setattr(glob, "glob", lambda pattern: [] if found == "nothing" else [str(junk)])
     assert linalg._openblas() is None
     with blas_threads(1) as pinned:
+        assert pinned is False and get() == 2
+    assert get() == 2
+
+
+@needs_openblas
+def test_blas_for_pins_one_thread_up_to_the_limit_and_leaves_blas_alone_above_it(
+        blas_at_two, monkeypatch):
+    get = blas_at_two
+    with blas_for(linalg.BLAS_SERIAL_MAX) as pinned:
+        assert pinned and get() == 1
+    assert get() == 2
+    monkeypatch.setattr(linalg, "_openblas", lambda: pytest.fail("BLAS looked up above the limit"))
+    with blas_for(linalg.BLAS_SERIAL_MAX + 1) as pinned:
         assert pinned is False and get() == 2
     assert get() == 2

@@ -15,10 +15,12 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,6 +246,23 @@ def cmd_solve(opts: dict) -> int:
 
 # ---------------------------------------------------------------- bench
 
+@contextmanager
+def _mapper(workers: int) -> Iterator[Callable]:
+    """An ordered ``map`` over ``workers`` threads.
+
+    One worker yields the builtin ``map``, so the main thread makes every call
+    and no thread starts: a one-worker pool's thread raised the rlocal_sweep
+    benchmark's peak RSS from 128 to 195 MB. More workers yield the ``map`` of
+    a ``ThreadPoolExecutor``; once a call's exception is raised, the calls not
+    started are cancelled and the running ones finish before the block exits.
+    """
+    if workers == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 @dataclass
 class RunRecord:
     config_hash: str
@@ -320,14 +339,8 @@ def cmd_bench(opts: dict) -> int:
     tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(spec["seeds"])]
     # Every task's B is n x d; the pin is set before the pool starts and
     # restored after its last task.
-    with blas_for(spec["n"] * spec["d"]):
-        if opts["threads"] > 1:
-            with ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-                records = list(pool.map(lambda t: _bench_task(spec, config_hash, *t), tasks))
-        else:
-            # Not a one-worker pool: the pool thread's own malloc arena raised the
-            # rlocal_sweep benchmark's peak RSS from 128 to 195 MB.
-            records = [_bench_task(spec, config_hash, *t) for t in tasks]
+    with blas_for(spec["n"] * spec["d"]), _mapper(opts["threads"]) as mapped:
+        records = list(mapped(lambda t: _bench_task(spec, config_hash, *t), tasks))
     records.sort(key=lambda rec: (rec.sweep_value, rec.seed))
 
     out = Path(opts["out"])
@@ -418,7 +431,9 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
                 raise InvalidSpec(f"check {name}: params must be an object, got {params!r}")
             suite.append((name, {**DEFAULT_SUITE[name], **params}))
     else:
-        names = opts["checks"] or tuple(DEFAULT_SUITE)
+        names = tuple(DEFAULT_SUITE) if opts["checks"] is None else opts["checks"]
+        if not names:
+            raise InvalidSpec("checks must name at least one check")
         suite = [(_check_name(name), dict(DEFAULT_SUITE[name])) for name in names]
     for name, params in suite:
         if opts["trials"] is not None:
@@ -427,72 +442,30 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
     return suite
 
 
-def _run_checks(suite: list[tuple[str, dict]], seed: int) -> list:
-    """Each check's report or the exception it raised, in suite order.
+def cmd_validate_theory(opts: dict) -> int:
+    suite = _suite(opts)
 
-    With the OpenBLAS numpy loaded pinned to one thread, the main thread and
-    one worker per further usable core take the checks in suite order. When
-    the library cannot be reached, or one core or one check leaves nothing to
-    share, the main thread runs them alone with BLAS left as it is. Check
-    ``idx`` draws from ``SeedSequence((seed, idx))``, so no report depends on
-    the thread that ran it. Once a check raises, no thread takes another, and
-    the entries after the taken ones stay None.
-    """
-    import os
-    import threading
-
-    outcomes: list = [None] * len(suite)
-    lock = threading.Lock()
-    taken = 0
-
-    def work() -> None:
-        nonlocal taken
-        while True:
-            with lock:
-                if taken == len(suite):
-                    return
-                idx, taken = taken, taken + 1
-            name, params = suite[idx]
-            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-            try:
-                outcomes[idx] = CHECK_FUNCS[name](rng=rng, **params)
-            except Exception as exc:  # the caller raises it in suite order
-                outcomes[idx] = exc
-                with lock:
-                    taken = len(suite)
+    def run(idx: int) -> theory.BoundReport:
+        # No report depends on the thread that runs it.
+        name, params = suite[idx]
+        rng = np.random.default_rng(np.random.SeedSequence((opts["seed"], idx)))
+        return CHECK_FUNCS[name](rng=rng, **params)
 
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    helpers = min(cores, len(suite)) - 1
-    if not helpers:
-        work()
-        return outcomes
-    # The checks' small SVDs would contend for BLAS's own threads.
-    with blas_threads(1) as pinned:
-        workers = [threading.Thread(target=work) for _ in range(helpers if pinned else 0)]
-        for worker in workers:
-            worker.start()
-        try:
-            work()
-        finally:
-            with lock:
-                taken = len(suite)  # an interrupted main thread stops the workers too
-            for worker in workers:
-                worker.join()
-    return outcomes
-
-
-def cmd_validate_theory(opts: dict) -> int:
-    suite = _suite(opts)
+    workers = min(cores, len(suite))
     reports = []
-    for (name, _), report in zip(suite, _run_checks(suite, opts["seed"])):
-        if isinstance(report, Exception):
-            raise report
-        reports.append(report)
-        status = "passed" if report.passed else "FAILED"
-        bound_text = "none" if report.bound is None else f"{report.bound:.4g}"
-        print(f"check {name}: {status} empirical={report.empirical:.4g} "
-              f"bound={bound_text} trials={report.trials}")
+    # Checks that run at once take one BLAS thread each: their small SVDs
+    # would contend for BLAS's own threads. Without the library to pin, they
+    # run one at a time.
+    with (blas_threads(1) if workers > 1 else nullcontext(False)) as pinned, \
+            _mapper(workers if pinned else 1) as mapped:
+        for (name, _), report in zip(suite, mapped(run, range(len(suite)))):
+            reports.append(report)
+            status = "passed" if report.passed else "FAILED"
+            bound_text = "none" if report.bound is None else f"{report.bound:.4g}"
+            print(f"check {name}: {status} empirical={report.empirical:.4g} "
+                  f"bound={bound_text} trials={report.trials}")
 
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -205,6 +205,12 @@ def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
                          d, s, t, trials, errors / np.linalg.norm(x_star), t_grid)
 
 
+def _require_scale(d: int, s: int, K: float) -> None:
+    """K must be > 0 with the error scale K^2 (d - s) finite, checked before any draw."""
+    if not (K > 0 and math.isfinite(K * K * (d - s))):
+        raise InvalidRange(f"need K > 0 with K^2 (d - s) finite, got K={K}, d={d}, s={s}")
+
+
 def _projection_sq_errors(d: int, s: int, columns: int, rng: np.random.Generator, B,
                           partition: BlockPartition | None, K: float) -> np.ndarray:
     """Squared norms of (I - P) K Z for Z ~ N(0, I_d) with the given column count.
@@ -212,6 +218,8 @@ def _projection_sq_errors(d: int, s: int, columns: int, rng: np.random.Generator
     P projects onto the row space of one fixed collapsed matrix with s rows,
     collapsed from B (two rows per block of a Gaussian B when B is absent).
     """
+    if s < 1:
+        raise InvalidRange(f"need 0 < s < d, got s={s}, d={d}")
     if B is None:
         B = rng.standard_normal((s * 2, d))
         partition = BlockPartition.equal_blocks(s * 2, 2)
@@ -221,9 +229,7 @@ def _projection_sq_errors(d: int, s: int, columns: int, rng: np.random.Generator
             raise ShapeMismatch(f"B has {B.shape[1]} columns, expected d={d}")
         if partition is None:
             rows = B.shape[0]
-            if rows == s:
-                partition = BlockPartition((1,) * s)
-            elif rows % s == 0:
+            if rows % s == 0:
                 partition = BlockPartition.equal_blocks(rows, rows // s)
             else:
                 raise InvalidRange(f"cannot infer an s={s}-block partition for {rows} rows")
@@ -246,6 +252,7 @@ def check_lemma2(d: int, s: int, t: float, trials: int, rng: np.random.Generator
     _require_trials(trials)
     if t < 0:
         raise InvalidRange(f"t must be >= 0, got {t}")
+    _require_scale(d, s, K)
     err_sq = _projection_sq_errors(d, s, trials, rng, B, partition, K)
     c1 = const_c1(d, s, K)
     k1 = const_k1(d, s, K)
@@ -268,6 +275,7 @@ def check_theorem2(d: int, s: int, m: int, trials: int, rng: np.random.Generator
     _require_trials(trials)
     if m < 1:
         raise InvalidRange(f"m must be >= 1, got {m}")
+    _require_scale(d, s, K)
     k1 = const_k1(d, s, K)
     c2 = const_c2(d, s, K)
     t_star = math.sqrt(m * k1 * math.log(20.0))

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,8 @@ BAD_SUITE_INPUTS = [
     ("spec", {"checks": [{"check": "chi2", "params": {"trials": 10.5}}]},
      "check chi2: invalid value for trials"),
     ("config", {"checks": 5}, "checks must be comma-separated names"),
+    ("config", {"checks": []}, "checks must name at least one check"),
+    ("config", {"checks": " , "}, "checks must name at least one check"),
 ]
 
 
@@ -331,6 +334,40 @@ def test_validate_theory_integer_beyond_float_range_is_usage_error(tmp_path, cap
     out = tmp_path / "r.json"
     assert run(["validate-theory", "--spec", spec, "--seed", 1, "--out", out]) == 2
     assert "check chi2: invalid value for t" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", ["", " , "])
+def test_validate_theory_checks_flag_naming_no_check_is_usage_error(tmp_path, capsys, names):
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", "--checks", names, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: checks must name at least one check\n")
+    assert not out.exists()
+
+
+# Values the spec layer accepts but the check cannot take: a typed error with
+# exit 2 raised before any draw, and no numpy warning.
+BAD_CHECK_VALUES = [
+    ("theorem2", {"K": -1.0}, "need K > 0 with K^2 (d - s) finite, got K=-1.0, d=60, s=30"),
+    ("lemma2", {"K": 0.0}, "need K > 0 with K^2 (d - s) finite, got K=0.0, d=80, s=40"),
+    ("lemma2", {"K": 1e200}, "need K > 0 with K^2 (d - s) finite, got K=1e+200, d=80, s=40"),
+    ("lemma2", {"s": 0}, "need 0 < s < d, got s=0, d=80"),
+    ("theorem2", {"s": 0}, "need 0 < s < d, got s=0, d=60"),
+]
+
+
+@pytest.mark.parametrize("name,params,message", BAD_CHECK_VALUES,
+                         ids=[f"{n}-{json.dumps(p)}" for n, p, _ in BAD_CHECK_VALUES])
+def test_validate_theory_value_a_check_cannot_take_is_usage_error(tmp_path, capsys, name,
+                                                                  params, message):
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": [{"check": name, "params": params}]}))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["validate-theory", "--spec", spec, "--out", out]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -562,6 +599,74 @@ def test_threaded_spec_matches_the_one_thread_loop(two_cores, monkeypatch, capsy
     else:
         assert [r["check"] for r in json.loads(reports)] == printed
         assert ("FAILED" in out) == (code == 1)
+
+
+def _note_starts(patch, started):
+    """Patch ``threading.Thread.start`` to note each thread started in ``started``."""
+    start = threading.Thread.start
+
+    def noted(thread):
+        started.append(thread)
+        return start(thread)
+    patch.setattr(threading.Thread, "start", noted)
+
+
+def _note_blas_lookups(patch, looked):
+    """Patch ``linalg._openblas`` to note each time BLAS's count is about to be read or set."""
+    find = linalg._openblas
+    patch.setattr(linalg, "_openblas", lambda: looked.append(True) or find())
+
+
+# One worker runs every task on the main thread and starts no thread (a pool
+# thread's own malloc arena raised the rlocal_sweep peak RSS from 128 to
+# 195 MB); more workers run the tasks on pool threads only.
+
+@pytest.mark.parametrize("cores", [{0}, pytest.param({0, 1}, marks=needs_openblas)],
+                         ids=["one core", "two cores"])
+def test_validate_theory_runs_on_the_main_thread_on_one_core_and_on_pool_threads_on_more(
+        monkeypatch, capsys, tmp_path, cores):
+    ran, started, looked = [], [], []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    for name, check in CHECK_FUNCS.items():
+        monkeypatch.setitem(CHECK_FUNCS, name, _spied(check, ran, lambda: None))
+    _note_starts(monkeypatch, started)
+    _note_blas_lookups(monkeypatch, looked)
+    out = tmp_path / "reports.json"
+    assert run(["validate-theory", "--trials", 20, "--seed", 1, "--out", out]) in (0, 1)
+    idents = {ident for ident, _ in ran}
+    assert len(ran) == len(DEFAULT_SUITE)
+    if len(cores) == 1:  # BLAS is left untouched: its count is never read or set
+        assert idents == {threading.get_ident()} and started == [] and looked == []
+    else:
+        assert threading.get_ident() not in idents and 1 <= len(started) <= 2
+        assert looked == [True]
+    capsys.readouterr()
+
+
+def test_bench_runs_on_the_main_thread_at_one_worker_and_on_pool_threads_at_two(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(linalg, "BLAS_SERIAL_MAX", 0)  # so bench leaves BLAS alone
+    written = {}
+    for threads in (1, 2):
+        ran, started, looked = [], [], []
+        out = tmp_path / f"threads{threads}" / "sweep.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_bench_task", _spied(cli._bench_task, ran, lambda: None))
+            _note_starts(patch, started)
+            _note_blas_lookups(patch, looked)
+            assert run(["bench", "--sweep", "r", "--grid", "5,10", "--seeds", 2, "--n", 200,
+                        "--d", 5, "--m", 2, "--sigma", 0.01, "--seed", 0,
+                        "--threads", threads, "--out", out]) == 0
+        idents = {ident for ident, _ in ran}
+        assert len(ran) == 4 and looked == []
+        if threads == 1:
+            assert idents == {threading.get_ident()} and started == []
+        else:
+            assert threading.get_ident() not in idents and 1 <= len(started) <= 2
+        written[threads] = [_without_wall(out.with_name(name)) for name in
+                            ("sweep.csv", "sweep_agg.csv", "sweep_runs.jsonl")]
+    assert written[1] == written[2]
+    capsys.readouterr()
 
 
 # bench and solve run on one BLAS thread when their B has at most

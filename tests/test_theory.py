@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -370,3 +371,32 @@ def test_check_errors_match_reference(name, params):
         check(rng=np.random.default_rng(0), **params)
     assert type(new_exc.value) is type(ref_exc.value)
     assert str(new_exc.value) == str(ref_exc.value)
+
+
+# The reference takes any K, and at s = 0 it fails with an untyped error or one
+# about its internal partition, so these cases are checked here and not in
+# BAD_PARAM_CASES.
+_SCALE_CHECKS = {"lemma2": (check_lemma2, dict(d=8, s=4, t=1.0, trials=5)),
+                 "theorem2": (check_theorem2, dict(d=8, s=4, m=2, trials=5))}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_CHECKS))
+@pytest.mark.parametrize("K", [-1.0, 0.0, math.nan, math.inf, 1e200])
+def test_lemma2_and_theorem2_refuse_a_bad_scale_before_any_draw(name, K):
+    check, params = _SCALE_CHECKS[name]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e200 squared would overflow in the draws
+        with pytest.raises(InvalidRange, match=r"need K > 0 with K\^2 \(d - s\) finite"):
+            check(rng=rng, **params, K=K)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_CHECKS))
+@pytest.mark.parametrize("B", [None, _B[:4]], ids=["drawn B", "given B"])
+def test_lemma2_and_theorem2_refuse_s_zero(name, B):
+    check, params = _SCALE_CHECKS[name]
+    with pytest.raises(InvalidRange) as exc:
+        check(rng=np.random.default_rng(0), **{**params, "s": 0}, B=B)
+    assert str(exc.value) == "need 0 < s < d, got s=0, d=8"

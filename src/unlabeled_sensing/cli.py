@@ -229,12 +229,15 @@ def cmd_solve(opts: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "P_hat.json").write_text(result.p_hat.to_json() + "\n", encoding="utf-8")
     write_matrix_csv(out / "X_hat.csv", result.x_hat)
+    b_svd = instance.b_svd  # the factor the solve already made
     payload = {
         "converged": result.converged,
         "iters": result.iters,
         "final_objective": result.final_objective,
         "objective_trace": [float(f) for f in result.objective_trace],
         "mode": mode,
+        "B": {"rank": b_svd.rank, "sigma_max": float(b_svd.S[0]),
+              "sigma_min": float(b_svd.S[-1])},
         "metrics": metrics,
     }
     (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n",

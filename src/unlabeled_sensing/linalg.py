@@ -1,12 +1,19 @@
 """Dense matrix kernels the rest of the package relies on.
 
 Thin SVD, Moore-Penrose pseudoinverse solves and orthogonal projectors onto
-row spaces. Everything here is a pure function of float64 arrays; the
-factorization itself is delegated to LAPACK via ``numpy.linalg``, the
-contracts (finiteness checks, rank tolerance, minimum-norm semantics) are
-owned by this module, and so are ``blas_threads``, which sets how many threads
-that LAPACK's BLAS runs, and ``blas_for``, the rule that picks that count for
-a command from the size of its largest matrix.
+row spaces. Everything here is a pure function of float64 arrays. ``svd``
+factors a tall, large matrix (rows >= ``CHOLQR_MIN_ASPECT`` * cols and at
+least ``CHOLQR_MIN_ENTRIES`` entries) by CholeskyQR2, in which every operation
+on the tall matrix is a matrix product (Fukaya, Nakatsukasa, Yanagisawa &
+Yamamoto, "CholeskyQR2: a simple and communication-avoiding algorithm for
+computing a tall-skinny QR factorization", ScalA 2014; Yamamoto et al.,
+"Roundoff error analysis of the CholeskyQR2 algorithm", ETNA 2015). It hands
+every other matrix, and a tall one that CholeskyQR2 cannot factor accurately,
+to LAPACK's gesdd via ``numpy.linalg``. The contracts (finiteness checks, rank
+tolerance, minimum-norm semantics) are owned by this module, and so are
+``blas_threads``, which sets how many threads that LAPACK's BLAS runs, and
+``blas_for``, the rule that picks that count for a command from the size of
+its largest matrix.
 """
 
 from __future__ import annotations
@@ -24,11 +31,30 @@ from .errors import NoConvergence, NonFinite, ShapeMismatch
 EPS = float(np.finfo(np.float64).eps)
 
 # The most entries a matrix may have for ``blas_for`` to run its command on one
-# BLAS thread. On a 2-core Xeon VM with OpenBLAS 0.3.31, the thin SVD of every
-# tall shape up to about 5e5 entries ran faster on one thread than on two
-# (2000x50: 3.5 against 6.6 ms; 4000x100: 33 against 42 ms), and of larger
-# ones slower (12000x50: 29 against 28 ms; 20000x50: 50 against 36 ms).
+# BLAS thread. The limit was set where gesdd of a tall matrix stopped being
+# faster on one thread; now that CholeskyQR2 factors those, two reasons keep
+# the pin (2-core Xeon VM, OpenBLAS 0.3.31). ``bench --threads 2`` runs two
+# solves at once, and at two BLAS threads each they ask for four threads on two
+# cores: a k-sparse sweep at n = 2000, d = 50 took 0.12 s pinned against 0.15 s
+# (medians of one probe of 12 alternating runs). And a matrix that is not tall
+# still goes to gesdd, whose bits change with the thread count (1000x300 did).
+# Without the pin the fastest ksparse_sweep op was the same (0.039-0.043 s).
 BLAS_SERIAL_MAX = 2**19
+
+# ``svd`` factors a matrix by CholeskyQR2 when rows >= CHOLQR_MIN_ASPECT * cols
+# and it has at least CHOLQR_MIN_ENTRIES entries. On a 2-core Xeon VM with
+# OpenBLAS 0.3.31, gesdd was the faster of the two below 10^4 entries (200x10:
+# 0.05 against 0.10 ms; 400x20: 0.22 against 0.24 ms), the two were even at
+# 2^14 on one BLAS thread (512x32: 0.43 against 0.45 ms; 0.90 against 0.47 ms
+# on two), and CholeskyQR2 was ahead above it (2000x50: 3.3 against 1.9 ms;
+# 20000x50: 46 against 12 ms, both on one thread).
+CHOLQR_MIN_ASPECT = 4
+CHOLQR_MIN_ENTRIES = 2**14
+# CholeskyQR2 falls back to gesdd when its singular values put cond(A) at this
+# or above. The first Gram matrix A^T A has condition number cond(A)^2, so Q1
+# drifts from orthonormal by about eps * cond(A)^2, and the second pass repairs
+# that only while it stays well below 1 (ETNA 2015 above).
+CHOLQR_MAX_COND = 1e6
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -78,17 +104,61 @@ class SvdFactors:
         return X.ravel() if squeeze else X
 
 
+def _cholqr2(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Thin SVD ``(U, S, Vt)`` of a tall ``A`` by CholeskyQR2, or None when it cannot be trusted.
+
+    R1 = chol(A^T A) and Q1 = A R1^-1, then R2 = chol(Q1^T Q1), so that
+    A = Q2 R2 R1 with Q2 = Q1 R2^-1 orthonormal to working precision. The
+    small SVD R2 R1 = U_R S Vt gives U = Q2 U_R, formed as Q1 (R2^-1 U_R) so
+    that Q2 is never built. None when A^T A overflows or has a column norm
+    near the underflow range, when a Cholesky factorization fails, or when
+    the singular values put cond(A) at ``CHOLQR_MAX_COND`` or above.
+    """
+    rows = A.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A.T @ A
+        if not (np.all(np.isfinite(gram))
+                and gram.diagonal().min() >= rows * np.finfo(np.float64).tiny / EPS):
+            return None
+        try:
+            L1 = np.linalg.cholesky(gram)
+            Q1 = A @ np.linalg.inv(L1).T
+            L2 = np.linalg.cholesky(Q1.T @ Q1)
+            R = L2.T @ L1.T
+            if not np.all(np.isfinite(R)):
+                return None
+            U_R, S, Vt = np.linalg.svd(R)
+        except np.linalg.LinAlgError:
+            return None
+    if not S[-1] * CHOLQR_MAX_COND > S[0]:
+        return None
+    return Q1 @ (np.linalg.inv(L2).T @ U_R), S, Vt
+
+
 def svd(A) -> SvdFactors:
     """Thin SVD of a finite matrix, with the rank cutoff max(rows, cols) * eps * S[0].
+
+    A matrix with rows >= ``CHOLQR_MIN_ASPECT`` * cols and at least
+    ``CHOLQR_MIN_ENTRIES`` entries is factored by CholeskyQR2 (see
+    ``_cholqr2``), whose every step on the tall matrix is a matrix product:
+    with OpenBLAS 0.3.31 its factors had the same bits at one and two BLAS
+    threads where gesdd's did not. When ``A^T A`` overflows or nears the
+    underflow range, either Cholesky factorization fails, or the singular
+    values put cond(A) at ``CHOLQR_MAX_COND`` or above (a rank-deficient
+    ``A`` among them), and for every other shape, the factors come from
+    LAPACK's gesdd.
 
     Raises ``NonFinite`` for NaN/Inf input and ``NoConvergence`` (reporting the
     matrix dimensions) if the underlying iteration fails.
     """
     A = as_matrix(A, "A")
+    rows, cols = A.shape
+    factors = (_cholqr2(A) if rows >= CHOLQR_MIN_ASPECT * cols and A.size >= CHOLQR_MIN_ENTRIES
+               else None)
     try:
-        U, S, Vt = np.linalg.svd(A, full_matrices=False)
+        U, S, Vt = factors or np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge for {A.shape[0]}x{A.shape[1]} matrix") from exc
+        raise NoConvergence(f"SVD did not converge for {rows}x{cols} matrix") from exc
     return SvdFactors(U=U, S=S, V=Vt.T, rank_tol=max(A.shape) * EPS * float(S[0]))
 
 

@@ -16,12 +16,14 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unlabeled_sensing
 from unlabeled_sensing import cli, linalg, solver
+from unlabeled_sensing import data as data_module
 from unlabeled_sensing.cli import (_SPEC_VALUE_KINDS, CHECK_FUNCS, COMMANDS, DEFAULT_SUITE,
                                    _resolve, build_parser, main)
 from unlabeled_sensing.data import (SynthConfig, generate, load_bundle, read_matrix_csv,
@@ -780,6 +782,54 @@ def test_solve_runs_on_one_blas_thread_and_writes_the_unpinned_bytes(blas_at_two
         written[pinned] = [(out / name).read_bytes()
                            for name in ("P_hat.json", "X_hat.csv", "result.json")]
     assert written[True] == written[False]
+    capsys.readouterr()
+
+
+@needs_openblas
+def test_bench_above_the_limit_factors_b_to_the_same_bytes_at_one_and_two_blas_threads(
+        monkeypatch, tmp_path):
+    # Above the limit the command leaves BLAS at the count it finds. Every B
+    # and collapsed B here is tall, so CholeskyQR2 factors it, in products that
+    # round alike at either count; gesdd's factors of 11000 x 48 do not.
+    assert 11000 * 48 > linalg.BLAS_SERIAL_MAX
+    factored = {1: [], 2: []}
+    for count in (1, 2):
+        def spy(A, svd=linalg.svd, seen=factored[count]):
+            f = svd(A)
+            seen.append(b"".join(M.tobytes() for M in (f.U, f.S, f.V)))
+            return f
+        with monkeypatch.context() as patch, linalg.blas_threads(count):
+            patch.setattr(linalg, "svd", spy)  # the collapsed B, through pinv_solve
+            patch.setattr(data_module, "svd", spy)  # ProblemInstance.b_svd
+            assert run(["bench", "--sweep", "r", "--grid", "10", "--seeds", 1, "--n", 11000,
+                        "--d", 48, "--m", 10, "--sigma", 0.01, "--seed", 7,
+                        "--out", tmp_path / f"blas{count}" / "sweep.csv"]) == 0
+    assert len(factored[1]) == 2 and factored[1] == factored[2]
+
+
+@needs_openblas
+def test_bench_of_the_readme_example_writes_the_same_ledger_at_one_and_two_blas_threads(
+        tmp_path):
+    # README's reproducibility example, above the limit.
+    written = []
+    for count in (1, 2):
+        out = tmp_path / f"blas{count}" / "sweep.csv"
+        with linalg.blas_threads(count):
+            assert run(["bench", "--sweep", "r", "--grid", "10,100", "--seeds", 2, "--n", 20000,
+                        "--d", 50, "--m", 10, "--sigma", 0.01, "--seed", 7, "--out", out]) == 0
+        written.append(_without_wall(out.with_name("sweep_runs.jsonl")))
+    assert written[0] == written[1]
+
+
+def test_solve_reports_the_rank_and_extreme_singular_values_of_b(tmp_path, capsys):
+    bundle = tmp_path / "bundle"  # 2048 x 8: tall enough for CholeskyQR2
+    assert run(["synth", "--n", 2048, "--d", 8, "--m", 2, "--model", "rlocal", "--r", 8,
+                "--sigma", 0.01, "--seed", 2, "--out", bundle]) == 0
+    assert run(["solve", bundle]) == 0
+    got = json.loads((bundle / "result.json").read_text())["B"]
+    S = np.linalg.svd(load_bundle(bundle).B, compute_uv=False)
+    assert set(got) == {"rank", "sigma_max", "sigma_min"} and got["rank"] == 8
+    np.testing.assert_allclose([got["sigma_max"], got["sigma_min"]], [S[0], S[-1]], rtol=1e-12)
     capsys.readouterr()
 
 

@@ -137,11 +137,16 @@ def _factor_cases():
     tall = rng.standard_normal((40, 6))
     deficient = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6))  # rank 3
     wide = rng.standard_normal((4, 9))
+    # Under the CholeskyQR2 floor: the theory suite's tall shapes, and a large
+    # matrix that is not tall enough.
     return {"tall": tall, "rank_deficient": deficient, "wide": wide,
-            "zero": np.zeros((5, 3))}
+            "zero": np.zeros((5, 3)), "200x10": rng.standard_normal((200, 10)),
+            "150x8": rng.standard_normal((150, 8)), "40x10": rng.standard_normal((40, 10)),
+            "not_tall_enough": rng.standard_normal((400, 101))}
 
 
-@pytest.mark.parametrize("name", ["tall", "rank_deficient", "wide", "zero"])
+@pytest.mark.parametrize("name", ["tall", "rank_deficient", "wide", "zero", "200x10", "150x8",
+                                  "40x10", "not_tall_enough"])
 def test_svd_factors_solve_equals_pinv_solve_bitwise(name):
     # One factor reused across right-hand sides gives exactly the bits of a
     # fresh factorization per solve, and of the plain formula on numpy's SVD.
@@ -160,6 +165,90 @@ def test_svd_factors_solve_equals_pinv_solve_bitwise(name):
     y = rng.standard_normal(A.shape[0])
     assert f.solve(y).shape == (A.shape[1],)
     assert f.solve(y).tobytes() == pinv_solve(A, y).tobytes()
+
+
+def _tall(rows=4096, cols=64, seed=10):
+    return np.random.default_rng(seed).standard_normal((rows, cols))
+
+
+def _with_singular_values(S, rows, seed=11):
+    """A rows x len(S) matrix with singular values S and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((rows, S.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((S.size, S.size)))[0]
+    return (U * S) @ V.T
+
+
+def test_svd_of_a_tall_matrix_takes_cholqr2_and_matches_gesdd():
+    A = _tall()
+    assert A.shape[0] >= linalg.CHOLQR_MIN_ASPECT * A.shape[1]
+    assert A.size >= linalg.CHOLQR_MIN_ENTRIES
+    routed = linalg._cholqr2(A)
+    assert routed is not None
+    f = svd(A)
+    assert f.S.tobytes() == routed[1].tobytes()
+    _, S, _ = np.linalg.svd(A, full_matrices=False)
+    np.testing.assert_allclose(f.S, S, rtol=1e-12)
+    assert f.rank == 64
+    assert np.linalg.norm(f.U.T @ f.U - np.eye(64)) <= 1e-13
+    np.testing.assert_allclose((f.U * f.S) @ f.V.T, A, rtol=0, atol=1e-12 * np.abs(A).max())
+    Y = np.random.default_rng(12).standard_normal((A.shape[0], 3))
+    want = reference_pinv_solve(A, Y)
+    assert np.linalg.norm(f.solve(Y) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _fallback_cases():
+    A = _tall()
+    duplicated = A.copy()
+    duplicated[:, -1] = duplicated[:, 0]  # rank 63: the first Cholesky fails or cond is huge
+    return {"duplicated_column": (duplicated, 63),
+            "cond_1e9": (_with_singular_values(np.logspace(0, -9, 64), 4096), 64),
+            "cond_twice_the_limit": (_with_singular_values(
+                np.linspace(1.0, 0.5 / linalg.CHOLQR_MAX_COND, 64), 4096), 64),
+            "overflowing_gram": (A * 1e160, 64),  # A^T A is inf
+            "underflowing_gram": (A * 1e-160, 64)}  # A^T A is subnormal
+
+
+@pytest.mark.parametrize("name", sorted(_fallback_cases()))
+def test_svd_falls_back_to_gesdd_when_cholqr2_cannot_be_trusted(name):
+    A, rank = _fallback_cases()[name]
+    assert linalg._cholqr2(A) is None
+    f = svd(A)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    assert f.rank == rank == int(np.count_nonzero(S > 4096 * linalg.EPS * S[0]))
+    for got, want in ((f.U, U), (f.S, S), (f.V, Vt.T)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_svd_takes_cholqr2_below_the_condition_limit():
+    A = _with_singular_values(np.logspace(0, -5, 64), 4096)
+    assert linalg._cholqr2(A) is not None
+    f = svd(A)
+    np.testing.assert_allclose(f.S, np.linalg.svd(A, compute_uv=False), rtol=1e-9)
+    assert np.linalg.norm(f.U.T @ f.U - np.eye(64)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_of_a_tall_matrix_rejects_nonfinite(bad):
+    A = _tall()
+    A[100, 3] = bad
+    with pytest.raises(NonFinite):
+        svd(A)
+
+
+@needs_openblas
+def test_cholqr2_factors_are_the_same_bytes_at_one_and_two_blas_threads():
+    # gesdd's factors of this shape differ in their last bits between the two
+    # counts with OpenBLAS 0.3.31; CholeskyQR2's GEMMs do not.
+    A = _tall(11000, 48)
+    factors = []
+    for count in (1, 2):
+        with blas_threads(count) as pinned:
+            assert pinned
+            f = svd(A)
+            factors.append(b"".join(M.tobytes() for M in (f.U, f.S, f.V)))
+    assert linalg._cholqr2(A) is not None
+    assert factors[0] == factors[1]
 
 
 def test_svd_factors_solve_checks_right_hand_side():

@@ -27,6 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,13 @@ from .linalg import SvdFactors, as_matrix, svd
 from .permutation import (BlockPartition, KSparse, Permutation, PermutationModel,
                           RLocal, apply, hamming_distortion, sample_ksparse,
                           sample_rlocal)
+
+
+def _check_sigma(sigma) -> None:
+    """A noise level must be finite and >= 0, the rule ``load_bundle`` applies to meta.json."""
+    value = sigma.item() if isinstance(sigma, np.generic) else sigma  # numpy scalars too
+    if not (is_real(value) and value >= 0):
+        raise InvalidConfig(f"sigma must be a finite number >= 0, got {sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +72,7 @@ class ProblemInstance:
         Y = as_matrix(self.Y, "Y")
         if B.shape[0] != Y.shape[0]:
             raise ShapeMismatch(f"B has {B.shape[0]} rows but Y has {Y.shape[0]}")
-        if self.sigma < 0:
-            raise InvalidConfig(f"sigma must be >= 0, got {self.sigma}")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "Y", Y)
 
@@ -91,8 +98,7 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.n, self.d, self.m) < 1:
             raise InvalidConfig(f"n, d, m must be >= 1, got ({self.n}, {self.d}, {self.m})")
-        if self.sigma < 0:
-            raise InvalidConfig(f"sigma must be >= 0, got {self.sigma}")
+        _check_sigma(self.sigma)
         if self.b_dist not in ("gaussian", "uniform01"):
             raise InvalidConfig(f"b_dist must be 'gaussian' or 'uniform01', got {self.b_dist!r}")
         if isinstance(self.model, RLocal) and self.model.partition.n != self.n:
@@ -172,83 +178,70 @@ def _round_half_away(value: float, decimals: int, path, column: str) -> float:
     return math.copysign(math.floor(scaled), value) / scale
 
 
-def _csv_records(path: Path):
+def _csv_records(path: Path, encoding: str = "utf-8"):
     """Each record of a CSV file with its 1-based record number, blank ones included.
 
     A file that is not UTF-8, or that ``csv`` cannot split (such as a field
-    past its length limit), raises ``ParseError`` naming the file.
+    past its length limit), raises ``ParseError`` naming the file. The
+    ``utf-8-sig`` encoding also drops a leading byte order mark.
     """
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding=encoding) as fh:
             yield from enumerate(csv.reader(fh), start=1)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"cannot read as a UTF-8 CSV file: {exc}", path=str(path)) from None
-
-
-def _read_csv_table(path) -> tuple[list[str], list[list[float]]]:
-    path = Path(path)
-    records = _csv_records(path)
-    first = next(records, None)
-    if first is None:
-        raise ParseError("file is empty", path=str(path))
-    header = [h.strip() for h in first[1]]
-    rows: list[list[float]] = []
-    for lineno, raw in records:
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
-        if len(raw) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(raw)}",
-                path=str(path), line=lineno)
-        parsed = []
-        for col_name, cell in zip(header, raw):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise NonNumeric(
-                    f"cannot parse {cell!r} as a number",
-                    path=str(path), line=lineno, column=col_name) from None
-        rows.append(parsed)
-    if not rows:
-        raise ParseError("no data rows after header", path=str(path))
-    return header, rows
 
 
 def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
                seed: int = 0) -> ProblemInstance:
     """Build an r-local instance from a CSV file with a header row.
 
-    Rows are stably sorted by the rounded blocking key so blocks are
-    contiguous; the original row order is kept in ``source_rows``. Targets are
-    then permuted within blocks by a seeded uniform r-local permutation, and
-    the unpermuted targets are retained as ground truth.
+    Only the cells of the named target, feature and blocking columns are
+    parsed, so other columns may hold text. Rows are stably sorted by the
+    rounded blocking key so blocks are contiguous; the original row order is
+    kept in ``source_rows``. Targets are then permuted within blocks by a
+    seeded uniform r-local permutation, and the unpermuted targets are
+    retained as ground truth.
     """
-    header, rows = _read_csv_table(path)
-    index = {name: i for i, name in enumerate(header)}
-    for name in tuple(target_cols) + tuple(feature_cols) + block_rule.columns:
-        if name not in index:
-            raise ParseError(f"column {name!r} not found in header {header}", path=str(path))
+    path = Path(path)
+    records = _csv_records(path, encoding="utf-8-sig")  # a leading BOM is not part of a name
+    first = next(records, None)
+    if first is None:
+        raise ParseError("file is empty", path=str(path))
+    header = [h.strip() for h in first[1]]
+    named = (*target_cols, *feature_cols, *block_rule.columns)
+    for name in named:
+        if header.count(name) != 1:
+            where = "named more than once in" if name in header else "not found in"
+            raise ParseError(f"column {name!r} {where} header {header}", path=str(path))
+    used = sorted({header.index(name) for name in named})
+    pos = {header[i]: j for j, i in enumerate(used)}
 
-    keys = [
-        tuple(_round_half_away(row[index[c]], block_rule.decimals, path, c)
-              for c in block_rule.columns)
-        for row in rows
-    ]
-    order = sorted(range(len(rows)), key=lambda i: keys[i])
+    rows, keys = [], []
+    for lineno, raw in records:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(raw)}",
+                             path=str(path), line=lineno)
+        row = []
+        for i in used:
+            try:
+                row.append(float(raw[i]))
+            except ValueError:
+                raise NonNumeric(f"cannot parse {raw[i]!r} as a number",
+                                 path=str(path), line=lineno, column=header[i]) from None
+        rows.append(row)
+        keys.append(tuple(_round_half_away(row[pos[c]], block_rule.decimals, path, c)
+                          for c in block_rule.columns))
+    if not rows:
+        raise ParseError("no data rows after header", path=str(path))
 
-    sizes = []
-    for i, row_idx in enumerate(order):
-        if i and keys[row_idx] == keys[order[i - 1]]:
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-    partition = BlockPartition(tuple(sizes))
-
-    feat_idx = [index[c] for c in feature_cols]
-    targ_idx = [index[c] for c in target_cols]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    partition = BlockPartition(tuple(len(list(g)) for _, g in groupby(order, keys.__getitem__)))
     table = np.asarray(rows, dtype=np.float64)[order]
-    B = table[:, feat_idx]
-    y_star = table[:, targ_idx]
+    B = table[:, [pos[c] for c in feature_cols]]
+    y_star = table[:, [pos[c] for c in target_cols]]
 
     p_star = sample_rlocal(partition, np.random.default_rng(seed))
     return ProblemInstance(
@@ -442,7 +435,7 @@ def save_bundle(instance: ProblemInstance, out_dir,
     if instance.source_rows is not None:
         truth["source_rows"] = instance.source_rows.tolist()
     (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
-    meta = {"sigma": instance.sigma, "seed": seed, "model": _model_to_dict(model)}
+    meta = {"sigma": float(instance.sigma), "seed": seed, "model": _model_to_dict(model)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return out
 

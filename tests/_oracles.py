@@ -27,6 +27,12 @@ numpy's C reader took over the common case: every cell through ``csv.reader``
 and ``float()``. The fast reader must return the same array bytes or raise
 the same error.
 
+``reference_ingest_csv`` is the CSV ingestion as it was before it parsed only
+the columns it names: every cell of every column through ``float()`` first,
+then the named columns picked from the whole table (the last of two columns
+of one name). Where it returns an instance, the one-pass ingestion must
+return the same bytes; where it raises, the same kind of error.
+
 ``reference_check_*`` are the seven tail-reporting bound checks of
 ``theory`` as they were before they shared one tail-report helper, each with
 its own Monte-Carlo loop, t-grid and pass rule. ``reference_report_dict`` is
@@ -45,10 +51,11 @@ import numpy as np
 from unlabeled_sensing import assignment
 from unlabeled_sensing.assignment import solve_lap
 from unlabeled_sensing.collapse import build_collapsed, init_rlocal
-from unlabeled_sensing.errors import (InvalidRange, InvalidSpec, NonFinite, ParseError,
-                                     ShapeMismatch)
+from unlabeled_sensing.data import ProblemInstance, _round_half_away
+from unlabeled_sensing.errors import (InvalidRange, InvalidSpec, NonFinite, NonNumeric,
+                                     ParseError, ShapeMismatch)
 from unlabeled_sensing.linalg import as_matrix, pinv_solve, row_space_projector
-from unlabeled_sensing.permutation import BlockPartition, apply, sample_ksparse
+from unlabeled_sensing.permutation import BlockPartition, apply, sample_ksparse, sample_rlocal
 from unlabeled_sensing.theory import (BoundReport, binomial_margin, const_c1, const_c2,
                                       const_c3, const_k1, jl_threshold)
 
@@ -196,6 +203,84 @@ def reference_read_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise ParseError("no numeric rows", path=str(path))
     return np.asarray(rows, dtype=np.float64)
+
+
+def _reference_csv_records(path: Path):
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read as a UTF-8 CSV file: {exc}", path=str(path)) from None
+
+
+def _reference_read_csv_table(path) -> tuple[list[str], list[list[float]]]:
+    path = Path(path)
+    records = _reference_csv_records(path)
+    first = next(records, None)
+    if first is None:
+        raise ParseError("file is empty", path=str(path))
+    header = [h.strip() for h in first[1]]
+    rows: list[list[float]] = []
+    for lineno, raw in records:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(raw)}",
+                path=str(path), line=lineno)
+        parsed = []
+        for col_name, cell in zip(header, raw):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise NonNumeric(
+                    f"cannot parse {cell!r} as a number",
+                    path=str(path), line=lineno, column=col_name) from None
+        rows.append(parsed)
+    if not rows:
+        raise ParseError("no data rows after header", path=str(path))
+    return header, rows
+
+
+def reference_ingest_csv(path, target_cols, feature_cols, block_rule,
+                         seed: int = 0) -> ProblemInstance:
+    header, rows = _reference_read_csv_table(path)
+    index = {name: i for i, name in enumerate(header)}
+    for name in tuple(target_cols) + tuple(feature_cols) + block_rule.columns:
+        if name not in index:
+            raise ParseError(f"column {name!r} not found in header {header}", path=str(path))
+
+    keys = [
+        tuple(_round_half_away(row[index[c]], block_rule.decimals, path, c)
+              for c in block_rule.columns)
+        for row in rows
+    ]
+    order = sorted(range(len(rows)), key=lambda i: keys[i])
+
+    sizes = []
+    for i, row_idx in enumerate(order):
+        if i and keys[row_idx] == keys[order[i - 1]]:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    partition = BlockPartition(tuple(sizes))
+
+    feat_idx = [index[c] for c in feature_cols]
+    targ_idx = [index[c] for c in target_cols]
+    table = np.asarray(rows, dtype=np.float64)[order]
+    B = table[:, feat_idx]
+    y_star = table[:, targ_idx]
+
+    p_star = sample_rlocal(partition, np.random.default_rng(seed))
+    return ProblemInstance(
+        B=B,
+        Y=apply(p_star, y_star),
+        sigma=0.0,
+        partition=partition,
+        p_star=p_star,
+        y_star=y_star,
+        source_rows=np.asarray(order, dtype=np.intp),
+    )
 
 
 # ------------------------------------------------------------- theory checks

@@ -231,6 +231,46 @@ def test_ingest_then_solve(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ingest_skips_text_in_columns_it_does_not_name_and_refuses_a_repeated_one(tmp_path,
+                                                                                 capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("name,key,f1,t1\nann,1,0.5,2\nbob,1,1.5,3\ncy,2,2.5,4\ndee,2,3.5,6\n")
+    bundle = tmp_path / "b"
+    assert run(["ingest", csv, "--targets", "t1", "--features", "f1", "--block-cols", "key",
+                "--out", bundle]) == 0
+    assert run(["solve", bundle]) == 0
+    assert "relative_error" in json.loads((bundle / "result.json").read_text())["metrics"]
+
+    csv.write_text("key,f1,f1,t1\n1,1,9,2\n2,2,8,3\n")
+    assert run(["ingest", csv, "--targets", "t1", "--features", "f1", "--block-cols", "key",
+                "--out", tmp_path / "dup"]) == 2
+    assert "column 'f1' named more than once in header" in capsys.readouterr().err
+    assert not (tmp_path / "dup").exists()
+
+
+def test_readme_record_linkage_example_runs(tmp_path, monkeypatch, capsys):
+    # README's ingest and solve lines as written, on an Excel-style CSV: a
+    # byte order mark and a quoted text column that the call does not name
+    rng = np.random.default_rng(0)
+    lines = ["name,site,age,height,y1,y2"]
+    for i in range(24):
+        age, height = rng.uniform(20, 60), rng.uniform(150, 190)
+        name = "Smith, Ann" if i == 5 else f"person {i}"
+        lines.append(f'"{name}",{i % 4},{age:.1f},{height:.1f},'
+                     f"{0.5 * age - 0.1 * height:.3f},{0.2 * age + 0.3 * height:.3f}")
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    ingest = next(argv for argv in README_COMMAND_LINES
+                  if argv[0] == "ingest" and "data.csv" in argv)
+    out = ingest[ingest.index("--out") + 1]
+    solve = next(argv for argv in README_COMMAND_LINES if argv == ["solve", out])
+    monkeypatch.chdir(tmp_path)
+    assert run(ingest) == 0
+    assert "4 blocks" in capsys.readouterr().out
+    assert run(solve) == 0
+    result = json.loads((tmp_path / out / "result.json").read_text())
+    assert {"relative_error", "r2"} <= set(result["metrics"])
+
+
 def test_bench_large_scale_point_is_subsecond_per_solve(tmp_path):
     # n=1000, r=125 solves well under a second; the k=850 point is dominated
     # by the dense 1000x1000 assignment (~0.2s/iteration on slow hardware) and

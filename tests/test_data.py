@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_read_matrix_csv
-from unlabeled_sensing.data import (BlockRule, SynthConfig, _round_half_away, evaluate,
-                                    generate, ingest_csv, load_bundle, model_from_dict,
-                                    oracle_and_naive, read_matrix_csv,
+from _oracles import reference_ingest_csv, reference_read_matrix_csv
+from unlabeled_sensing.data import (BlockRule, ProblemInstance, SynthConfig, _round_half_away,
+                                    evaluate, generate, ingest_csv, load_bundle,
+                                    model_from_dict, oracle_and_naive, read_matrix_csv,
                                     save_bundle, write_matrix_csv)
 from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonNumeric,
-                                      ParseError, ShapeMismatch)
+                                      ParseError, ShapeMismatch, UnlabeledSensingError)
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            RLocal, apply, hamming_distortion)
 
@@ -82,6 +83,20 @@ def test_generate_validates_config():
     with pytest.raises(InvalidConfig):
         SynthConfig(n=10, d=2, m=1,
                     model=RLocal(BlockPartition((4, 4))), seed=0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0, True, "0.1"])
+def test_non_finite_or_negative_sigma_is_refused_where_an_instance_is_built(sigma):
+    with pytest.raises(InvalidConfig, match="sigma must be a finite number >= 0"):
+        ProblemInstance(B=np.eye(3), Y=np.ones((3, 1)), sigma=sigma)
+    with pytest.raises(InvalidConfig, match="sigma must be a finite number >= 0"):
+        SynthConfig(n=10, d=2, m=1, model=KSparse(0), sigma=sigma, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [0, 0.25, np.float64(0.25), np.float32(0.5), np.int64(1)])
+def test_finite_sigma_of_any_real_type_round_trips_through_a_bundle(tmp_path, sigma):
+    inst = generate(SynthConfig(n=6, d=2, m=1, model=KSparse(2), sigma=sigma, seed=0))
+    assert load_bundle(save_bundle(inst, tmp_path / "b")).sigma == float(sigma)
 
 
 # ------------------------------------------------------------- ingestion
@@ -181,6 +196,153 @@ def test_block_rule_refuses_decimals_without_a_finite_nonzero_scale(decimals):
 @pytest.mark.parametrize("decimals", [308, -323])
 def test_block_rule_takes_decimals_up_to_the_float_range(decimals):
     assert BlockRule(("key",), decimals=decimals).decimals == decimals
+
+
+def test_ingest_parses_only_the_columns_it_names(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('name,key,f1,t1,note\nann,1,0.5,2,"x, y"\nbob,1,1.5,3,\ncy,2,2.5,4,z\n')
+    inst = ingest_csv(path, ("t1",), ("f1",), BlockRule(("key",)), seed=0)
+    want = tmp_path / "numeric.csv"
+    want.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n2,2.5,4\n")
+    _assert_same_instance(inst, reference_ingest_csv(want, ("t1",), ("f1",), BlockRule(("key",))))
+    # a text cell in a named column is still refused at its line and column
+    with pytest.raises(NonNumeric) as err:
+        ingest_csv(path, ("t1",), ("name",), BlockRule(("key",)), seed=0)
+    assert (err.value.line, err.value.column) == (2, "name")
+
+
+def test_ingest_refuses_a_named_column_that_appears_twice(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("key,f1,f1,t1,x,x\n1,1,9,5,a,b\n2,2,8,6,c,d\n3,3,7,7,e,f\n")
+    for targets, features, block in [("t1", "f1", "key"), ("f1", "t1", "key"),
+                                     ("t1", "key", "f1")]:
+        with pytest.raises(ParseError, match="column 'f1' named more than once in header"):
+            ingest_csv(path, (targets,), (features,), BlockRule((block,)), seed=0)
+    # a repeated name among the columns the call does not name is harmless
+    inst = ingest_csv(path, ("t1",), ("key",), BlockRule(("key",)), seed=0)
+    np.testing.assert_array_equal(inst.y_star.ravel(), [5.0, 6.0, 7.0])
+
+
+def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    text = "key,f1,t1\n2,0.5,1\n1,1.5,2\n2,2.5,3\n"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbfkey,")
+    rule = BlockRule(("key",))
+    _assert_same_instance(ingest_csv(bom, ("t1",), ("f1",), rule, seed=4),
+                         ingest_csv(plain, ("t1",), ("f1",), rule, seed=4))
+
+
+# ------------------------------------------------------------- ingestion vs the reference
+
+def _assert_same_instance(got, want):
+    for name in ("B", "Y", "y_star", "source_rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.partition == want.partition
+    assert got.p_star.map.tobytes() == want.p_star.map.tobytes()
+
+
+def _ingest_outcome(ingest, path, call):
+    try:
+        return ingest(path, *call), None
+    except UnlabeledSensingError as exc:
+        return None, exc
+
+
+_NUMERIC_CELLS = st.sampled_from(["0", "1", "-1", "2", "0.5", "-0.5", "1.25", "1.5", "-2.5",
+                                  "0.05", " 3 ", "1e1", "-0"])
+_NON_FINITE_CELLS = st.sampled_from(["nan", "inf", "-inf"])
+_BAD_CELLS = st.sampled_from(["", " ", "x", "1,5", "--1", "1.2.3", "0x1"])
+_TEXT_CELLS = st.sampled_from(["ann", "smith, j", 'say "hi"', "", " ", "1", "nan", "\u00e9"])
+
+
+@st.composite
+def _ingest_cases(draw):
+    """A header, rows of cells and an ingest call; only the named cells may be text.
+
+    Rows may be blank, whitespace-only or ragged, and cells may be non-finite.
+    """
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", "d", " e "]), min_size=2,
+                           max_size=5, unique=True))
+    names = [h.strip() for h in header]
+    targets = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    features = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 3)) == 0 and targets[0] not in features:
+        features.append(targets[0])  # a target that is also a feature
+    block = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    named = {*targets, *features, *block}
+    bad_rate, non_finite_rate = (draw(st.sampled_from([0.0, 0.0, 0.05, 0.3])),
+                                 draw(st.sampled_from([0.0, 0.0, 0.0, 0.05])))
+
+    def cell(name):
+        if name in named and draw(st.floats(0, 1)) < bad_rate:
+            return draw(_BAD_CELLS)
+        return draw(_NON_FINITE_CELLS if draw(st.floats(0, 1)) < non_finite_rate
+                    else _NUMERIC_CELLS)
+
+    rows = []  # about one file in ten has no data rows
+    for _ in range(draw(st.integers(1, 10)) * (draw(st.integers(0, 9)) != 7)):
+        kind = draw(st.sampled_from(["row"] * 16 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            rows.append([])
+        elif kind == "spaces":
+            rows.append(draw(st.sampled_from([[" "], ["", ""], [" ", "\t"]])))
+        else:
+            rows.append([cell(name) for name in names])
+            if kind == "ragged":
+                rows[-1] = rows[-1][:-1] if draw(st.booleans()) else rows[-1] + ["1"]
+    call = (tuple(targets), tuple(features),
+            BlockRule(tuple(block), decimals=draw(st.integers(-1, 2))), draw(st.integers(0, 3)))
+    return header, rows, call
+
+
+def _write_csv(path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+def _assert_matches_reference(path, want_path, call):
+    want, err = _ingest_outcome(reference_ingest_csv, want_path, call)
+    got, got_err = _ingest_outcome(ingest_csv, path, call)
+    if err is None:
+        assert got_err is None, got_err
+        _assert_same_instance(got, want)
+    else:
+        assert got is None
+        assert isinstance(got_err, ParseError if isinstance(err, ParseError) else type(err))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ingest_cases())
+def test_ingest_matches_the_reference_on_numeric_files(tmp_path_factory, case):
+    header, rows, call = case
+    path = _write_csv(tmp_path_factory.getbasetemp() / "ingest.csv", header, rows)
+    _assert_matches_reference(path, path, call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ingest_cases(), extra=st.lists(st.tuples(st.integers(0, 5), _TEXT_CELLS),
+                                            min_size=1, max_size=3))
+def test_ingest_of_a_file_with_text_columns_matches_the_reference_without_them(
+        tmp_path_factory, case, extra):
+    # each extra column holds one text value in every row that is not blank
+    header, rows, call = case
+    base = tmp_path_factory.getbasetemp()
+    want_path = _write_csv(base / "numeric.csv", header, rows)
+
+    def widen(cells, fill):
+        cells = list(cells)
+        for at, value in extra:
+            cells.insert(min(at, len(cells)), fill(value))
+        return cells
+
+    wide = widen(header, lambda _: "id")  # a name repeated among unnamed columns is allowed
+    wide_rows = [widen(row, lambda value: value) if any(c.strip() for c in row) else row
+                 for row in rows]
+    _assert_matches_reference(_write_csv(base / "text.csv", wide, wide_rows), want_path, call)
 
 
 # ------------------------------------------------------------- metrics

@@ -266,20 +266,9 @@ def _mapper(workers: int) -> Iterator[Callable]:
         yield pool.map
 
 
-@dataclass
-class RunRecord:
-    config_hash: str
-    sweep_value: float
-    seed: int
-    d_h_over_n: float
-    rel_error: float
-    iters: int
-    wall_ms: float
-    trace_tail: list[float]
-
-
 def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
-                seed_idx: int) -> RunRecord:
+                seed_idx: int) -> dict:
+    """The ledger row of one run, keyed in the ledger's column order."""
     child_seed = int(np.random.SeedSequence(
         (spec["seed"], point_idx, seed_idx)).generate_state(1)[0])
     n, d, m = spec["n"], spec["d"], spec["m"]
@@ -299,16 +288,16 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
     wall_ms = (time.perf_counter() - start) * 1e3
     x_norm = float(np.linalg.norm(instance.x_star))
     rel = float(np.linalg.norm(instance.x_star - result.x_hat)) / x_norm if x_norm else 0.0
-    return RunRecord(
-        config_hash=config_hash,
-        sweep_value=value,
-        seed=seed_idx,
-        d_h_over_n=hamming_distortion(result.p_hat, instance.p_star) / n,
-        rel_error=rel,
-        iters=result.iters,
-        wall_ms=wall_ms,
-        trace_tail=[float(f) for f in result.objective_trace[-3:]],
-    )
+    return {
+        "config_hash": config_hash,
+        "sweep_value": value,
+        "seed": seed_idx,
+        "d_h_over_n": hamming_distortion(result.p_hat, instance.p_star) / n,
+        "rel_error": rel,
+        "iters": result.iters,
+        "wall_ms": wall_ms,
+        "trace_tail": [float(f) for f in result.objective_trace[-3:]],
+    }
 
 
 BENCH_OPTIONS = (
@@ -339,36 +328,35 @@ def cmd_bench(opts: dict) -> int:
     spec["grid"] = grid = sorted(set(opts["grid"]))
     config_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]
 
-    tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(spec["seeds"])]
+    seeds = spec["seeds"]
+    tasks = [(pi, value, si) for pi, value in enumerate(grid) for si in range(seeds)]
     # Every task's B is n x d; the pin is set before the pool starts and
-    # restored after its last task.
+    # restored after its last task. The map keeps the tasks' order, so the rows
+    # come in (sweep value, seed) order.
     with blas_for(spec["n"] * spec["d"]), _mapper(opts["threads"]) as mapped:
         records = list(mapped(lambda t: _bench_task(spec, config_hash, *t), tasks))
-    records.sort(key=lambda rec: (rec.sweep_value, rec.seed))
 
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
         fh.write("sweep_value,seed,d_H_over_n,rel_error,iters,wall_ms\n")
         for rec in records:
-            fh.write(f"{rec.sweep_value:.10g},{rec.seed},{rec.d_h_over_n:.10g},"
-                     f"{rec.rel_error:.10g},{rec.iters},{rec.wall_ms:.3f}\n")
+            fh.write(f"{rec['sweep_value']:.10g},{rec['seed']},{rec['d_h_over_n']:.10g},"
+                     f"{rec['rel_error']:.10g},{rec['iters']},{rec['wall_ms']:.3f}\n")
 
     agg_path = out.with_name(out.stem + "_agg.csv")
     with agg_path.open("w", encoding="utf-8") as fh:
         fh.write("sweep_value,mean_d_H_over_n,mean_rel_error,mean_iters,mean_wall_ms,seeds\n")
-        for value in grid:
-            batch = [rec for rec in records if rec.sweep_value == value]
-            fh.write(f"{value:.10g},"
-                     f"{np.mean([r.d_h_over_n for r in batch]):.10g},"
-                     f"{np.mean([r.rel_error for r in batch]):.10g},"
-                     f"{np.mean([r.iters for r in batch]):.10g},"
-                     f"{np.mean([r.wall_ms for r in batch]):.3f},{len(batch)}\n")
+        for pi, value in enumerate(grid):
+            batch = records[pi * seeds:(pi + 1) * seeds]
+            d_h, rel, iters, wall = (np.mean([rec[key] for rec in batch]) for key in
+                                     ("d_h_over_n", "rel_error", "iters", "wall_ms"))
+            fh.write(f"{value:.10g},{d_h:.10g},{rel:.10g},{iters:.10g},{wall:.3f},{seeds}\n")
 
     ledger_path = out.with_name(out.stem + "_runs.jsonl")
     with ledger_path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.__dict__) + "\n")
+            fh.write(json.dumps(rec) + "\n")
     print(f"wrote {out}, {agg_path}, {ledger_path}")
     return 0
 
@@ -384,12 +372,6 @@ _SPEC_VALUE_KINDS = {
     float | None: lambda v: v is None or is_real(v),
     list[float] | None: lambda v: v is None or (isinstance(v, list) and all(map(is_real, v))),
 }
-
-
-def _check_name(name) -> str:
-    if not isinstance(name, str) or name not in CHECK_FUNCS:
-        raise InvalidSpec(f"unknown check {name!r}")
-    return name
 
 
 def _check_params(name: str, params: dict) -> None:
@@ -415,33 +397,36 @@ VALIDATE_OPTIONS = (
 def _suite(opts: dict) -> list[tuple[str, dict]]:
     """The checks to run with their params, every name and value validated.
 
-    A ``--spec`` file overrides default params by name; ``--trials`` overrides
-    every check's trial count.
+    Each ``--checks`` name, or each ``--spec`` entry, is a check whose default
+    params the entry's ``params`` override; ``--trials`` overrides every
+    check's trial count. ``--checks`` and ``--spec`` cannot be given together.
     """
-    spec_path = opts["spec"]
-    if spec_path:
+    spec_path, names = opts["spec"], opts["checks"]
+    if not spec_path:
+        entries = [{"check": name} for name in (DEFAULT_SUITE if names is None else names)]
+        if not entries:
+            raise InvalidSpec("checks must name at least one check")
+    elif names is not None:
+        raise InvalidSpec("give --checks or --spec, not both")
+    else:
         payload = read_json(spec_path)
         entries = payload.get("checks") if isinstance(payload, dict) else None
         if not isinstance(entries, list) or not entries:
             raise InvalidSpec(f"suite spec {spec_path} must hold a non-empty 'checks' list")
-        suite = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise InvalidSpec(f"suite entry {entry!r} must be an object")
-            name = _check_name(entry.get("check"))
-            params = entry.get("params", {})
-            if not isinstance(params, dict):
-                raise InvalidSpec(f"check {name}: params must be an object, got {params!r}")
-            suite.append((name, {**DEFAULT_SUITE[name], **params}))
-    else:
-        names = tuple(DEFAULT_SUITE) if opts["checks"] is None else opts["checks"]
-        if not names:
-            raise InvalidSpec("checks must name at least one check")
-        suite = [(_check_name(name), dict(DEFAULT_SUITE[name])) for name in names]
-    for name, params in suite:
+    suite = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InvalidSpec(f"suite entry {entry!r} must be an object")
+        name, params = entry.get("check"), entry.get("params", {})
+        if not isinstance(name, str) or name not in CHECK_FUNCS:
+            raise InvalidSpec(f"unknown check {name!r}")
+        if not isinstance(params, dict):
+            raise InvalidSpec(f"check {name}: params must be an object, got {params!r}")
+        params = {**DEFAULT_SUITE[name], **params}
         if opts["trials"] is not None:
             params["trials"] = opts["trials"]
         _check_params(name, params)
+        suite.append((name, params))
     return suite
 
 

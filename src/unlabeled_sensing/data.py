@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (EmptyBlockRule, InvalidConfig, NonNumeric, ParseError,
-                     ShapeMismatch)
+from .errors import (EmptyBlockRule, InvalidConfig, NonFinite, NonNumeric,
+                     ParseError, ShapeMismatch)
 from .linalg import SvdFactors, as_matrix, svd
 from .permutation import (BlockPartition, KSparse, Permutation, PermutationModel,
                           RLocal, apply, hamming_distortion, sample_ksparse,
@@ -115,11 +115,13 @@ class EvalMetrics:
     r2: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate(config: SynthConfig) -> ProblemInstance:
     """Draw an instance; a fixed seed reproduces it bit for bit.
 
     Draw order is B, X_star, P_star, W, so changing only sigma rescales the
-    same noise panel and leaves everything else untouched.
+    same noise panel and leaves everything else untouched. A sigma so large
+    that Y overflows raises ``NonFinite``, with numpy's overflow warning silenced.
     """
     rng = np.random.default_rng(config.seed)
     if config.b_dist == "gaussian":
@@ -217,7 +219,7 @@ def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
     used = sorted({header.index(name) for name in named})
     pos = {header[i]: j for j, i in enumerate(used)}
 
-    rows, keys = [], []
+    rows, keys, lines = [], [], []
     for lineno, raw in records:
         if not raw or all(not cell.strip() for cell in raw):
             continue
@@ -232,14 +234,25 @@ def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
                 raise NonNumeric(f"cannot parse {raw[i]!r} as a number",
                                  path=str(path), line=lineno, column=header[i]) from None
         rows.append(row)
+        lines.append(lineno)
         keys.append(tuple(_round_half_away(row[pos[c]], block_rule.decimals, path, c)
                           for c in block_rule.columns))
     if not rows:
         raise ParseError("no data rows after header", path=str(path))
 
+    table = np.asarray(rows, dtype=np.float64)
+    # The first non-finite target or feature cell in file order, found once
+    # every cell has parsed so that an unparseable cell is reported first.
+    cells = sorted({pos[c] for c in (*target_cols, *feature_cols)})
+    bad = np.argwhere(~np.isfinite(table[:, cells]))
+    if bad.size:
+        row, j = bad[0][0], cells[bad[0][1]]
+        raise NonFinite(f"{path}, line {lines[row]}, column {header[used[j]]}: "
+                        f"{table[row, j]} is not a finite number")
+
     order = sorted(range(len(rows)), key=keys.__getitem__)
     partition = BlockPartition(tuple(len(list(g)) for _, g in groupby(order, keys.__getitem__)))
-    table = np.asarray(rows, dtype=np.float64)[order]
+    table = table[order]
     B = table[:, [pos[c] for c in feature_cols]]
     y_star = table[:, [pos[c] for c in target_cols]]
 

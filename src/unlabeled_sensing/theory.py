@@ -138,9 +138,18 @@ def jl_threshold(d: int, s: int, t: float) -> float:
     return (1.0 + t) * math.sqrt((d - s) / d)
 
 
-def _rlocal_partition(d: int, s: int, rows_per_block: int) -> BlockPartition:
-    """s equal blocks of rows_per_block rows, once 0 < s < d is checked."""
-    jl_threshold(d, s, 0.0)
+def _rlocal_partition(d: int, s: int, t: float, rows_per_block: int,
+                      t_grid: list[float] | None) -> BlockPartition:
+    """s equal blocks of rows_per_block rows, once every parameter is checked.
+
+    The check runs before any draw: 0 < s < d, t >= 0, rows_per_block >= 1,
+    and each t_grid entry finite and >= 0.
+    """
+    jl_threshold(d, s, t)
+    if rows_per_block < 1:
+        raise InvalidRange(f"rows_per_block must be >= 1, got {rows_per_block}")
+    if t_grid is not None and not all(math.isfinite(g) and g >= 0 for g in t_grid):
+        raise InvalidRange(f"t_grid entries must be finite and >= 0, got {t_grid}")
     return BlockPartition.equal_blocks(s * rows_per_block, rows_per_block)
 
 
@@ -178,7 +187,7 @@ def check_lemma1(d: int, s: int, t: float, trials: int, rng: np.random.Generator
     at m = 1 with a unit-norm signal, so the errors need no division.
     """
     _require_trials(trials)
-    partition = _rlocal_partition(d, s, rows_per_block)
+    partition = _rlocal_partition(d, s, t, rows_per_block, t_grid)
     x_star = rng.standard_normal((d, 1))
     x_star /= np.linalg.norm(x_star)
     errors = _rlocal_init_errors(x_star, partition, trials, rng)
@@ -197,7 +206,7 @@ def check_theorem1(d: int, s: int, m: int, t: float, trials: int,
     _require_trials(trials)
     if m < 1:
         raise InvalidRange(f"m must be >= 1, got {m}")
-    partition = _rlocal_partition(d, s, rows_per_block)
+    partition = _rlocal_partition(d, s, t, rows_per_block, t_grid)
     x_star = rng.standard_normal((d, m))
     errors = _rlocal_init_errors(x_star, partition, trials, rng)
     return _ratio_report("theorem1",

@@ -144,6 +144,33 @@ def test_bench_outputs_sorted_deterministic_and_aggregated(tmp_path):
     assert (tmp_path / "a_runs.jsonl").exists()
 
 
+LEDGER_KEYS = ["config_hash", "sweep_value", "seed", "d_h_over_n", "rel_error", "iters",
+               "wall_ms", "trace_tail"]
+
+
+def test_bench_ledger_rows_have_exactly_the_ledger_keys_in_order(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["bench", "--sweep", "k", "--grid", "0,4", "--seeds", 2, "--n", 12, "--d", 2,
+                "--m", 1, "--out", out]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "s_runs.jsonl").read_text().splitlines()]
+    assert len(rows) == 4
+    assert all(list(row) == LEDGER_KEYS for row in rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bench_unsorted_grid_with_a_repeat_lists_rows_by_value_then_seed(tmp_path, threads):
+    out = tmp_path / "s.csv"
+    assert run(["bench", "--sweep", "r", "--grid", "4,1,4", "--seeds", 3, "--n", 12, "--d", 2,
+                "--m", 1, "--sigma", 0.1, "--threads", threads, "--out", out]) == 0
+    want = [(value, seed) for value in (1.0, 4.0) for seed in range(3)]
+    _, rows = read_csv_rows(out)
+    assert [(float(r["sweep_value"]), int(r["seed"])) for r in rows] == want
+    _, agg = read_csv_rows(tmp_path / "s_agg.csv")
+    assert [(float(r["sweep_value"]), int(r["seeds"])) for r in agg] == [(1.0, 3), (4.0, 3)]
+    ledger = [json.loads(line) for line in (tmp_path / "s_runs.jsonl").read_text().splitlines()]
+    assert [(row["sweep_value"], row["seed"]) for row in ledger] == want
+
+
 def test_bench_invalid_spec(tmp_path, capsys):
     assert run(["bench", "--grid", "1", "--seed", 0,
                 "--out", tmp_path / "x.csv"]) == 2
@@ -410,6 +437,39 @@ def test_validate_theory_value_a_check_cannot_take_is_usage_error(tmp_path, caps
         assert run(["validate-theory", "--spec", spec, "--out", out]) == 2
     assert caught == []
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("lemma1", {"rows_per_block": 0}, "rows_per_block must be >= 1, got 0"),
+    ("theorem1", {"t_grid": [-5.0, 3.0]},
+     "t_grid entries must be finite and >= 0, got [-5.0, 3.0]"),
+], ids=["rows_per_block-0", "negative-t_grid"])
+def test_validate_theory_block_size_or_grid_a_check_cannot_take_is_usage_error(
+        tmp_path, capsys, name, params, message):
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": [{"check": name, "params": params}]}))
+    out = tmp_path / "r.json"
+    assert run(["validate-theory", "--spec", spec, "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["flags", "config"])
+def test_validate_theory_checks_with_spec_is_usage_error(tmp_path, capsys, monkeypatch, form):
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": [{"check": "chi2"}]}))
+    out = tmp_path / "r.json"
+    if form == "flags":
+        argv = ["--spec", spec, "--checks", "lemma1"]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"spec": str(spec), "checks": "lemma1"}))
+        argv = ["--config", config]
+    monkeypatch.setitem(CHECK_FUNCS, "chi2", None)  # no check may run
+    monkeypatch.setitem(CHECK_FUNCS, "lemma1", None)
+    assert run(["validate-theory", *argv, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: give --checks or --spec, not both\n")
     assert not out.exists()
 
 
@@ -1199,6 +1259,29 @@ def test_ingest_unroundable_blocking_key_is_usage_error(tmp_path, capsys, key, d
     assert run(["ingest", data, "--targets", "t1", "--features", "f1,f2",
                 "--block-cols", "key", "--decimals", decimals, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_non_finite_feature_is_usage_error_naming_its_cell(tmp_path, capsys):
+    data = tmp_path / "nf.csv"
+    data.write_text("key,f1,t1\n1,0.5,2\n1,nan,3\n")
+    out = tmp_path / "b"
+    assert run(["ingest", data, "--targets", "t1", "--features", "f1", "--block-cols", "key",
+                "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {data}, line 3, column f1: "
+                                       "nan is not a finite number\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", 4, "--d", 2, "--model", "rlocal", "--r", 2, "--sigma", 1e308],
+    ["bench", "--sweep", "sigma", "--grid", 1e308, "--seeds", 1, "--r", 2],
+], ids=["synth", "bench"])
+def test_sigma_whose_noise_overflows_is_one_error_line(tmp_path, capsys, argv):
+    # pytest turns warnings into errors, so numpy's overflow warning would escape main
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: Y contains NaN or Inf entries\n")
     assert not out.exists()
 
 

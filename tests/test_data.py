@@ -12,7 +12,7 @@ from unlabeled_sensing.data import (BlockRule, ProblemInstance, SynthConfig, _ro
                                     evaluate, generate, ingest_csv, load_bundle,
                                     model_from_dict, oracle_and_naive, read_matrix_csv,
                                     save_bundle, write_matrix_csv)
-from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonNumeric,
+from unlabeled_sensing.errors import (EmptyBlockRule, InvalidConfig, NonFinite, NonNumeric,
                                       ParseError, ShapeMismatch, UnlabeledSensingError)
 from unlabeled_sensing.permutation import (BlockPartition, KSparse, Permutation,
                                            RLocal, apply, hamming_distortion)
@@ -91,6 +91,13 @@ def test_non_finite_or_negative_sigma_is_refused_where_an_instance_is_built(sigm
         ProblemInstance(B=np.eye(3), Y=np.ones((3, 1)), sigma=sigma)
     with pytest.raises(InvalidConfig, match="sigma must be a finite number >= 0"):
         SynthConfig(n=10, d=2, m=1, model=KSparse(0), sigma=sigma, seed=0)
+
+
+def test_sigma_whose_noise_overflows_is_non_finite_without_a_numpy_warning():
+    # pytest turns warnings into errors, so an overflow warning would fail here
+    with pytest.raises(NonFinite, match="Y contains NaN or Inf entries"):
+        generate(SynthConfig(n=4, d=2, m=1, model=RLocal(BlockPartition((2, 2))),
+                             sigma=1e308, seed=0))
 
 
 @pytest.mark.parametrize("sigma", [0, 0.25, np.float64(0.25), np.float32(0.5), np.int64(1)])
@@ -232,6 +239,23 @@ def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
     rule = BlockRule(("key",))
     _assert_same_instance(ingest_csv(bom, ("t1",), ("f1",), rule, seed=4),
                          ingest_csv(plain, ("t1",), ("f1",), rule, seed=4))
+
+
+@pytest.mark.parametrize("body,where", [
+    ("1,0.5,2\n1,nan,3\n", "line 3, column f1: nan"),
+    ("1,0.5,inf\n1,-inf,3\n", "line 2, column t1: inf"),  # file order: line, then column
+    ("\n1,0.5,2\n2,1e999,3\n", "line 4, column f1: inf"),
+], ids=["nan-feature", "first-of-two-lines", "overflowing-cell-after-a-blank-line"])
+def test_ingest_names_the_first_non_finite_target_or_feature_cell(tmp_path, body, where):
+    path = tmp_path / "nf.csv"
+    path.write_text("key,f1,t1\n" + body)
+    with pytest.raises(NonFinite) as err:
+        ingest_csv(path, ("t1",), ("f1",), BlockRule(("key",)), seed=0)
+    assert str(err.value) == f"{path}, {where} is not a finite number"
+    # an unparseable cell anywhere in the file is still reported first
+    path.write_text("key,f1,t1\n" + body + "1,2,oops\n")
+    with pytest.raises(NonNumeric, match="column t1: cannot parse 'oops'"):
+        ingest_csv(path, ("t1",), ("f1",), BlockRule(("key",)), seed=0)
 
 
 # ------------------------------------------------------------- ingestion vs the reference

@@ -400,3 +400,28 @@ def test_lemma2_and_theorem2_refuse_s_zero(name, B):
     with pytest.raises(InvalidRange) as exc:
         check(rng=np.random.default_rng(0), **{**params, "s": 0}, B=B)
     assert str(exc.value) == "need 0 < s < d, got s=0, d=8"
+
+
+# The reference takes these values too: rows_per_block = 0 ends in an error
+# about an empty partition and a negative t_grid entry is reported as a point
+# of the tail, so these cases are checked here and not in BAD_PARAM_CASES.
+_RLOCAL_CHECKS = {"lemma1": (check_lemma1, dict(d=10, s=5, t=0.5, trials=3)),
+                  "theorem1": (check_theorem1, dict(d=10, s=5, m=2, t=0.5, trials=3))}
+
+
+@pytest.mark.parametrize("name", sorted(_RLOCAL_CHECKS))
+@pytest.mark.parametrize("bad,message", [
+    ({"rows_per_block": 0}, "rows_per_block must be >= 1, got 0"),
+    ({"rows_per_block": -2}, "rows_per_block must be >= 1, got -2"),
+    ({"t_grid": [-5.0, 3.0]}, r"t_grid entries must be finite and >= 0, got \[-5.0, 3.0\]"),
+    ({"t_grid": [0.5, math.inf]}, r"t_grid entries must be finite and >= 0, got \[0.5, inf\]"),
+    ({"t_grid": [math.nan]}, r"t_grid entries must be finite and >= 0, got \[nan\]"),
+], ids=["rows-0", "rows-minus-2", "negative-t", "infinite-t", "nan-t"])
+def test_lemma1_and_theorem1_refuse_a_bad_block_size_or_grid_before_any_draw(name, bad,
+                                                                             message):
+    check, params = _RLOCAL_CHECKS[name]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidRange, match=message):
+        check(rng=rng, **params, **bad)
+    assert rng.bit_generator.state == state

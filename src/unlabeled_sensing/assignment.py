@@ -5,9 +5,9 @@ sends each row to its best column collects every row's optimum, which bounds
 the value of any permutation, so it is an exact optimum. Only a matrix in which
 two rows share a best column goes to scipy's shortest-augmenting-path solver
 (Jonker-Volgenant family, O(n^3)), which returns an exact integral optimum of
-the assignment LP. Blockwise solving runs the same kernel on each run of
-equal-size blocks, stacked, and concatenates the per-block optima into one
-block-diagonal permutation.
+the assignment LP. ``solve_blockwise`` runs the same kernel on each block on
+its own and concatenates the per-block optima into one block-diagonal
+permutation.
 
 ``solve_nearest`` is the permutation step of both solver modes: it matches the
 rows of ``Y`` to fitted rows ``Z`` at least total squared distance, over all
@@ -82,15 +82,15 @@ def cKDTree(data):
 
 
 def _runs(sizes, max_entries: int):
-    """(first block, row offset, size, count) for runs of consecutive equal-size
-    blocks, each run holding at most max_entries matrix entries (or one block)."""
-    first = lo = 0
+    """(row offset, size, count) for runs of consecutive equal-size blocks,
+    each run holding at most max_entries matrix entries (or one block)."""
+    lo = 0
     for size, run in groupby(sizes):
         left, per = sum(1 for _ in run), max(1, max_entries // (size * size))
         while left:
             count = min(left, per)
-            yield first, lo, size, count
-            first, lo, left = first + count, lo + size * count, left - count
+            yield lo, size, count
+            lo, left = lo + size * count, left - count
 
 
 def _solve_stack(R: np.ndarray, describe, maximize: bool = True) -> np.ndarray:
@@ -130,26 +130,23 @@ def solve_lap(C, maximize: bool = True) -> tuple[Permutation, float]:
 def solve_blockwise(C_blocks, partition: BlockPartition) -> Permutation:
     """Concatenated blockwise optima; result is block diagonal under the partition.
 
-    Each block must be square of its partition size and finite. Each run of
-    consecutive equal-size blocks is stacked, at most ``DENSE_BYTES_MAX`` bytes
-    at a time (a slice of a ``(b, s, s)`` array is used as it is), and solved
-    with the kernel of ``solve_lap``; the column indices go straight into one
-    index map, validated once at the end.
+    Each block must be square of its partition size and finite. The shapes are
+    checked first; then each block is solved on its own by the kernel of
+    ``solve_lap`` and its column indices go straight into one index map,
+    validated once at the end.
     """
     if len(C_blocks) != partition.block_count:
         raise ShapeMismatch(
             f"got {len(C_blocks)} reward blocks for {partition.block_count} partition blocks")
-    offsets = partition.offsets
-    for block, size, offset in zip(C_blocks, partition.sizes, offsets):
+    for block, size, offset in zip(C_blocks, partition.sizes, partition.offsets):
         if np.shape(block) != (size, size):
             raise ShapeMismatch(
                 f"block at offset {offset} must be {size}x{size}, got {np.shape(block)}")
     out = np.empty(partition.n, dtype=np.intp)
-    for first, lo, size, count in _runs(partition.sizes, DENSE_BYTES_MAX // 8):
-        stack = np.asarray(C_blocks[first:first + count], dtype=np.float64)
-        cols = _solve_stack(stack, lambda i: (
-            f"reward block at offset {lo + i * size} contains NaN or Inf entries"))
-        out[lo:lo + count * size] = (cols + (lo + size * np.arange(count))[:, None]).ravel()
+    for block, size, offset in zip(C_blocks, partition.sizes, partition.offsets):
+        cols = _solve_stack(np.asarray(block, dtype=np.float64)[None], lambda _: (
+            f"reward block at offset {offset} contains NaN or Inf entries"))
+        out[offset:offset + size] = cols[0] + offset
     return Permutation(out)
 
 
@@ -397,7 +394,7 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     Each row's best column is its nearest fitted row. Blocks whose cost
     matrices fit ``DENSE_BYTES_MAX`` are stacked by runs of equal size, at most
     ``Y.size`` entries at a time, and each stack is settled by the kernel of
-    ``solve_blockwise``. The dense step, without a partition or for a block
+    ``solve_lap``. The dense step, without a partition or for a block
     past the budget, is ``_solve_dense``: it asks a KD-tree for the nearest
     rows when ``_tree_pays``, else scans blocks of cost rows, and distinct
     nearest rows are the optimum. Otherwise row reduction and augmenting paths
@@ -419,7 +416,7 @@ def solve_nearest(Y: np.ndarray, Z: np.ndarray,
     if partition is None:
         return _solve_dense(Y, Z, half_norms)
     out = np.empty(n, dtype=np.intp)
-    for _, lo, size, count in _runs(partition.sizes, min(Y.size, DENSE_BYTES_MAX // 8)):
+    for lo, size, count in _runs(partition.sizes, min(Y.size, DENSE_BYTES_MAX // 8)):
         hi = lo + size * count
         if 8 * size * size > DENSE_BYTES_MAX:  # then count == 1
             try:

@@ -75,6 +75,7 @@ def _scalar(kind, accepts) -> Callable[[str, object], object]:
 
 _int = _scalar(int, lambda value: type(value) is int)
 _count = _scalar(int, is_count)
+_positive = _scalar(int, lambda value: is_count(value) and value > 0)
 _real = _scalar(float, is_real)
 _text = _scalar(str, lambda value: isinstance(value, str))
 
@@ -303,10 +304,10 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
 BENCH_OPTIONS = (
     Option("sweep", _text, None, "parameter the grid sweeps", ("r", "k", "sigma")),
     Option("grid", _items(_real, "numbers"), None, "comma-separated sweep values"),
-    Option("seeds", _count, 15, "Monte-Carlo runs per grid point"),
+    Option("seeds", _positive, 15, "Monte-Carlo runs per grid point"),
     _N, _D, Option("m", _count, 10, "columns of X"), _MODEL, _R, _K, _SIGMA, _B_DIST,
     _EPSILON, _MAX_ITERS, _SEED,
-    Option("threads", _count, 1, "worker threads; rows do not depend on it"),
+    Option("threads", _positive, 1, "worker threads; rows do not depend on it"),
     Option("out", _text, "sweep.csv", "sweep CSV; the aggregate and the ledger go beside it"),
 )
 
@@ -316,9 +317,6 @@ def cmd_bench(opts: dict) -> int:
         raise InvalidSpec("bench requires --sweep r|k|sigma")
     if not opts["grid"]:
         raise InvalidSpec("bench requires --grid v1,v2,..., got no values")
-    for name in ("seeds", "threads"):
-        if opts[name] < 1:
-            raise InvalidSpec(f"{name} must be >= 1, got {opts[name]}")
     if opts["sweep"] in ("r", "k") and not all(v.is_integer() for v in opts["grid"]):
         raise InvalidSpec(
             f"{opts['sweep']} grid values must be whole numbers, got {list(opts['grid'])}")
@@ -388,7 +386,8 @@ def _check_params(name: str, params: dict) -> None:
 
 VALIDATE_OPTIONS = (
     Option("checks", _NAMES, None, "comma-separated subset of checks (default: all)"),
-    Option("spec", _text, None, "JSON suite spec {'checks': [{'check', 'params'}]}"),
+    Option("spec", _scalar(str, lambda value: isinstance(value, str) and value != ""), None,
+           "JSON suite spec {'checks': [{'check', 'params'}]}"),
     Option("trials", _count, None, "override trial count for every check"),
     _SEED, Option("out", _text, "reports.json", "reports JSON"),
 )
@@ -402,7 +401,7 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
     check's trial count. ``--checks`` and ``--spec`` cannot be given together.
     """
     spec_path, names = opts["spec"], opts["checks"]
-    if not spec_path:
+    if spec_path is None:
         entries = [{"check": name} for name in (DEFAULT_SUITE if names is None else names)]
         if not entries:
             raise InvalidSpec("checks must name at least one check")

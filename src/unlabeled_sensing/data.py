@@ -36,8 +36,7 @@ from .errors import (EmptyBlockRule, InvalidConfig, NonFinite, NonNumeric,
                      ParseError, ShapeMismatch)
 from .linalg import SvdFactors, as_matrix, svd
 from .permutation import (BlockPartition, KSparse, Permutation, PermutationModel,
-                          RLocal, apply, hamming_distortion, sample_ksparse,
-                          sample_rlocal)
+                          RLocal, apply, sample_ksparse, sample_rlocal)
 
 
 def _check_sigma(sigma) -> None:
@@ -110,7 +109,6 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class EvalMetrics:
-    frac_distortion: float | None
     relative_error: float
     r2: float
 
@@ -171,12 +169,12 @@ class BlockRule:
         object.__setattr__(self, "columns", cols)
 
 
-def _round_half_away(value: float, decimals: int, path, column: str) -> float:
+def _round_half_away(value: float, decimals: int, path, column: str, line=None) -> float:
     scale = 10.0 ** decimals
     scaled = abs(value) * scale + 0.5
     if not math.isfinite(scaled):
         raise ParseError(f"blocking key {value!r} has no finite rounding to {decimals} decimals",
-                         path=str(path), column=column)
+                         path=str(path), line=line, column=column)
     return math.copysign(math.floor(scaled), value) / scale
 
 
@@ -235,7 +233,7 @@ def ingest_csv(path, target_cols, feature_cols, block_rule: BlockRule,
                                  path=str(path), line=lineno, column=header[i]) from None
         rows.append(row)
         lines.append(lineno)
-        keys.append(tuple(_round_half_away(row[pos[c]], block_rule.decimals, path, c)
+        keys.append(tuple(_round_half_away(row[pos[c]], block_rule.decimals, path, c, lineno)
                           for c in block_rule.columns))
     if not rows:
         raise ParseError("no data rows after header", path=str(path))
@@ -280,15 +278,13 @@ def oracle_and_naive(B, Y_star, Y) -> tuple[np.ndarray, np.ndarray]:
     return f.solve(Y_star), f.solve(Y)
 
 
-def evaluate(X_hat, X_oracle, B, Y_star,
-             P_hat: Permutation | None = None,
-             P_star: Permutation | None = None) -> EvalMetrics:
+def evaluate(X_hat, X_oracle, B, Y_star) -> EvalMetrics:
     """Score an estimate against the oracle regression.
 
     relative_error is ||X_oracle - X_hat||_F / ||X_oracle||_F and the
     goodness-of-fit coefficient is 1 - ||Y_star - B X_hat||_F / ||Y_star||_F
-    (a plain ratio, not the squared one). Fractional Hamming distortion is
-    reported only when both permutations are supplied.
+    (a plain ratio, not the squared one). A permutation is scored by
+    ``permutation.hamming_distortion``.
     """
     X_hat = as_matrix(X_hat, "X_hat")
     X_oracle = as_matrix(X_oracle, "X_oracle")
@@ -307,11 +303,7 @@ def evaluate(X_hat, X_oracle, B, Y_star,
     y_norm = float(np.linalg.norm(Y_star))
     resid = float(np.linalg.norm(Y_star - B @ X_hat))
     r2 = 1.0 - (resid / y_norm if y_norm > 0 else 0.0)
-
-    frac = None
-    if P_hat is not None and P_star is not None:
-        frac = hamming_distortion(P_hat, P_star) / P_star.n
-    return EvalMetrics(frac_distortion=frac, relative_error=relative_error, r2=r2)
+    return EvalMetrics(relative_error=relative_error, r2=r2)
 
 
 # ---------------------------------------------------------------- bundle I/O

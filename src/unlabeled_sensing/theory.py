@@ -262,9 +262,9 @@ def check_lemma2(d: int, s: int, t: float, trials: int, rng: np.random.Generator
     if t < 0:
         raise InvalidRange(f"t must be >= 0, got {t}")
     _require_scale(d, s, K)
-    err_sq = _projection_sq_errors(d, s, trials, rng, B, partition, K)
-    c1 = const_c1(d, s, K)
+    c1 = const_c1(d, s, K)  # both refuse s >= d before the draw
     k1 = const_k1(d, s, K)
+    err_sq = _projection_sq_errors(d, s, trials, rng, B, partition, K)
     return _tail_report("lemma2", {"d": d, "s": s, "t": t, "K": K}, t, trials,
                         lambda g: float(np.mean(err_sq >= c1 + k1 * g)), _grid_around(t),
                         c1 + k1 * t, bound=math.exp(-t), c1=c1, K1=k1)

@@ -271,8 +271,7 @@ def test_criterion_12_csv_protocol_beats_naive(tmp_path):
                           block_rule=BlockRule(("key",)), seed=seed)
         result = solve(inst, SolverConfig(mode="rlocal"))
         x_oracle, x_naive = oracle_and_naive(inst.B, inst.y_star, inst.Y)
-        got = evaluate(result.x_hat, x_oracle, inst.B, inst.y_star,
-                       result.p_hat, inst.p_star)
+        got = evaluate(result.x_hat, x_oracle, inst.B, inst.y_star)
         naive = evaluate(x_naive, x_oracle, inst.B, inst.y_star)
         if got.relative_error < naive.relative_error:
             wins += 1

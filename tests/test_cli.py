@@ -1245,9 +1245,10 @@ def test_solve_meta_sigma_not_a_finite_non_negative_number_is_usage_error(tmp_pa
 
 
 @pytest.mark.parametrize("key,decimals,message", [
-    ("nan", 0, "column key: blocking key nan has no finite rounding to 0 decimals"),
-    ("inf", 0, "column key: blocking key inf has no finite rounding to 0 decimals"),
-    ("1e300", 10, "column key: blocking key 1e+300 has no finite rounding to 10 decimals"),
+    ("nan", 0, "t.csv, line 3, column key: blocking key nan has no finite rounding to 0 decimals"),
+    ("inf", 0, "t.csv, line 3, column key: blocking key inf has no finite rounding to 0 decimals"),
+    ("1e300", 10,
+     "t.csv, line 3, column key: blocking key 1e+300 has no finite rounding to 10 decimals"),
     ("1.5", 310, "blocking columns key: cannot round to 310 decimals"),
     ("1.5", -400, "blocking columns key: cannot round to -400 decimals"),
 ], ids=["nan-key", "infinite-key", "overflowing-key", "decimals-310", "decimals-minus-400"])
@@ -1385,6 +1386,9 @@ BAD_CONFIGS = [
     (["solve", "BUNDLE"], {"max_iter": 5}, "solve takes no config key 'max_iter'"),
     (_SYNTH + ["--n", 12], {"threads": 2}, "synth takes no config key 'threads'"),
     (_BENCH + ["--seeds", 1], {"model": "dense"}, "invalid value for model"),
+    (_BENCH, {"seeds": 0}, "invalid value for seeds: 0"),
+    (_BENCH + ["--seeds", 1], {"threads": 0}, "invalid value for threads: 0"),
+    (["validate-theory", "--checks", "chi2"], {"spec": ""}, "invalid value for spec: ''"),
 ]
 
 
@@ -1402,6 +1406,48 @@ def test_mistyped_or_unknown_config_value_is_usage_error(tmp_path, capsys, argv,
     capsys.readouterr()
     assert run(argv + ["--config", config]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_BENCH + ["--seeds", 0], "invalid value for seeds: '0'"),
+    (_BENCH + ["--seeds", 1, "--threads", 0], "invalid value for threads: '0'"),
+    (["validate-theory", "--spec", ""], "invalid value for spec: ''"),
+    (["validate-theory", "--spec", "", "--checks", "chi2", "--trials", 10],
+     "invalid value for spec: ''"),
+], ids=["seeds-0", "threads-0", "empty-spec", "empty-spec-with-checks"])
+def test_zero_count_or_empty_spec_flag_is_usage_error_before_any_run(tmp_path, capsys, argv,
+                                                                     message):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--n", 8, "--r", 4], "synth requires --out DIRECTORY"),
+    (["ingest", "CSV", "--features", "f1", "--block-cols", "key", "--out", "OUT"],
+     "ingest requires --targets and --features column lists"),
+    (["ingest", "CSV", "--targets", "t1", "--block-cols", "key", "--out", "OUT"],
+     "ingest requires --targets and --features column lists"),
+    (["ingest", "CSV", "--targets", "t1", "--features", "f1", "--block-cols", "key"],
+     "ingest requires --out DIRECTORY"),
+], ids=["synth-no-out", "ingest-no-targets", "ingest-no-features", "ingest-no-out"])
+def test_command_without_a_required_option_is_usage_error(tmp_path, capsys, argv, message):
+    data = tmp_path / "t.csv"
+    data.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n")
+    argv = [data if a == "CSV" else tmp_path / "o" if a == "OUT" else a for a in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text("[]\n")
+    out = tmp_path / "s"
+    assert run(["synth", "--n", 8, "--r", 4, "--out", out, "--config", config]) == 2
+    assert capsys.readouterr() == ("", f"error: config file {config} must hold a JSON object\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -404,19 +404,29 @@ def test_evaluate_trivial_cases():
     got_zero = evaluate(np.zeros_like(x_oracle), x_oracle, B, y_star)
     assert got_zero.r2 == pytest.approx(0.0, abs=1e-12)
 
-    from unlabeled_sensing.permutation import Permutation
-    p = Permutation.identity(12)
-    got_p = evaluate(x_oracle, x_oracle, B, y_star, p, p)
-    assert got_p.frac_distortion == 0.0
+
+def test_problem_instance_refuses_unequal_row_counts():
+    with pytest.raises(ShapeMismatch, match="B has 3 rows but Y has 4"):
+        ProblemInstance(B=np.ones((3, 2)), Y=np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("shapes,message", [
+    (((3, 2), (2, 2), (12, 2), (12, 2)), r"X_hat \(3, 2\) vs X_oracle \(2, 2\)"),
+    (((3, 2), (3, 2), (12, 4), (12, 2)), r"inconsistent shapes B \(12, 4\), X_hat \(3, 2\)"),
+    (((3, 2), (3, 2), (12, 3), (11, 2)), r"inconsistent shapes B \(12, 3\), .*Y_star \(11, 2\)"),
+], ids=["x-hat-vs-oracle", "b-columns", "b-rows-vs-y-star"])
+def test_evaluate_refuses_inconsistent_shapes(shapes, message):
+    X_hat, X_oracle, B, Y_star = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ShapeMismatch, match=message):
+        evaluate(X_hat, X_oracle, B, Y_star)
 
 
 def test_generate_evaluate_roundtrip():
     # a solver that returns the stored truth scores perfectly
     inst = generate(SynthConfig(n=18, d=3, m=2, model=KSparse(5), seed=11))
     oracle, _ = oracle_and_naive(inst.B, inst.y_star, inst.Y)
-    got = evaluate(inst.x_star, oracle, inst.B, inst.y_star, inst.p_star, inst.p_star)
+    got = evaluate(inst.x_star, oracle, inst.B, inst.y_star)
     ref = evaluate(oracle, oracle, inst.B, inst.y_star)
-    assert got.frac_distortion == 0.0
     assert got.relative_error <= 1e-8
     assert abs(got.r2 - ref.r2) <= 1e-8
 
@@ -476,6 +486,18 @@ def test_bundle_roundtrip(tmp_path):
     assert loaded.partition.sizes == part.sizes
     assert hamming_distortion(loaded.p_star, inst.p_star) == 0
     assert loaded.sigma == 0.1
+
+
+def test_bundle_without_meta_or_truth_reads_them_as_empty(tmp_path):
+    inst = generate(SynthConfig(n=12, d=3, m=2, model=KSparse(4), sigma=0.1, seed=7))
+    out = save_bundle(inst, tmp_path / "bundle", seed=7, model=KSparse(4))
+    (out / "meta.json").unlink()
+    (out / "truth.json").unlink()
+    loaded = load_bundle(out)
+    assert loaded.sigma == 0.0
+    assert loaded.partition is None and loaded.p_star is None and loaded.source_rows is None
+    assert loaded.Y.tobytes() == inst.Y.tobytes()
+    assert loaded.y_star.tobytes() == inst.y_star.tobytes()
 
 
 def test_bundle_roundtrip_is_bit_exact(tmp_path):

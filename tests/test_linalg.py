@@ -1,4 +1,5 @@
 import glob
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from _oracles import reference_pinv_solve
 from unlabeled_sensing import linalg
 from unlabeled_sensing.errors import NonFinite, ShapeMismatch
-from unlabeled_sensing.linalg import (blas_for, blas_threads, pinv_solve, row_space_projector,
-                                      svd)
+from unlabeled_sensing.linalg import (as_matrix, blas_for, blas_threads, pinv_solve,
+                                      row_space_projector, svd)
 
 # The thread-count functions of the OpenBLAS numpy loaded, when it can be reached.
 OPENBLAS = linalg._openblas()
@@ -62,6 +63,18 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(NonFinite):
         svd(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("a,shape", [
+    (np.empty((0, 3)), (0, 3)),
+    (np.empty((3, 0)), (3, 0)),
+    ([], (0, 1)),
+    (np.ones((2, 2, 2)), (2, 2, 2)),
+], ids=["no-rows", "no-columns", "empty-list", "3-D"])
+def test_as_matrix_refuses_an_empty_or_3d_array(a, shape):
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"B must be a non-empty 2-D matrix, got shape {shape}")):
+        as_matrix(a, "B")
 
 
 def test_pinv_solve_identity():

@@ -175,6 +175,8 @@ def test_blockwise_step_in_chunks_equals_solve_blockwise_on_the_block_rewards(mo
     # integers make every product exact and tie often, so the block rewards
     # built one by one are the chunked costs negated bit for bit, and the
     # blocks that tie go to scipy on both sides with the same map.
+    # solve_blockwise settles each block alone, so it shares no stacking with
+    # the route under test.
     part = BlockPartition((3, 3, 3, 3, 3, 2, 4, 4, 4))
     rng = np.random.default_rng(13)
     Y = rng.integers(-2, 3, (part.n, 1)).astype(np.float64)

@@ -335,10 +335,13 @@ BAD_PARAM_CASES = [
     ("lemma2", dict(d=30, s=15, t=-1.0, trials=5)),
     ("lemma2", dict(d=9, s=6, t=1.0, trials=5, B=_B)),
     ("lemma2", dict(d=8, s=5, t=1.0, trials=5, B=_B)),
+    ("lemma2", dict(d=8, s=4, t=1.0, trials=5, B=_B, partition=BlockPartition((4, 4, 4)))),
     ("theorem2", dict(d=30, s=15, m=2, trials=5, t=-1.0)),
+    ("theorem2", dict(d=8, s=4, m=0, trials=5)),
     ("lemma4", dict(n=50, d=5, k=1, t=1.0, trials=5)),
     ("lemma4", dict(n=50, d=5, k=5, t=-1.0, trials=5)),
     ("theorem3", dict(n=40, d=5, k=3, m=4, t=1.0, trials=5)),
+    ("theorem3", dict(n=20, d=4, k=5, m=0, t=3.0, trials=5)),
     ("chi2", dict(D=0, t=1.0, trials=5)),
 ]
 
@@ -400,6 +403,25 @@ def test_lemma2_and_theorem2_refuse_s_zero(name, B):
     with pytest.raises(InvalidRange) as exc:
         check(rng=np.random.default_rng(0), **{**params, "s": 0}, B=B)
     assert str(exc.value) == "need 0 < s < d, got s=0, d=8"
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_CHECKS))
+@pytest.mark.parametrize("s", [8, 9], ids=["s-equals-d", "s-past-d"])
+def test_lemma2_and_theorem2_refuse_s_at_or_past_d_before_any_draw(name, s):
+    check, params = _SCALE_CHECKS[name]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidRange, match=f"need 0 <= s < d, got s={s}, d=8"):
+        check(rng=rng, **{**params, "s": s})
+    assert rng.bit_generator.state == state
+
+
+def test_worst_case_refuses_fewer_rows_than_columns_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidRange, match="need n >= d for full column rank, got n=5, d=10"):
+        check_worst_case(n=5, d=10, trials=3, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 # The reference takes these values too: rows_per_block = 0 ends in an error

@@ -78,17 +78,23 @@ _count = _scalar(int, is_count)
 _positive = _scalar(int, lambda value: is_count(value) and value > 0)
 _real = _scalar(float, is_real)
 _text = _scalar(str, lambda value: isinstance(value, str))
+_path = _scalar(str, lambda value: isinstance(value, str) and value != "")
 
 
 def _items(item, noun: str) -> Callable[[str, object], tuple]:
-    """Converter of a comma-separated string or a JSON list, each item by ``item``."""
+    """Converter of a comma-separated string or a JSON list, each item by ``item``.
+
+    A list with no items is refused.
+    """
     def convert(name: str, value) -> tuple:
-        if isinstance(value, str):
-            value = [v.strip() for v in value.split(",") if v.strip()]
-        elif not isinstance(value, list):
+        items = ([v.strip() for v in value.split(",") if v.strip()] if isinstance(value, str)
+                 else value)
+        if not isinstance(items, list):
             raise InvalidConfig(
                 f"{name} must be comma-separated {noun} or a JSON list, got {value!r}")
-        return tuple(item(name, v) for v in value)
+        if not items:
+            raise InvalidConfig(f"invalid value for {name}: {value!r}")
+        return tuple(item(name, v) for v in items)
     return convert
 
 
@@ -97,7 +103,9 @@ class Option:
     """The ``--name`` flag and ``name`` config key of a command.
 
     ``convert(name, value)`` types a flag string or a JSON config value and
-    raises ``InvalidConfig`` for one it cannot take.
+    raises ``InvalidConfig`` for one it cannot take. A ``required`` option has
+    no default: when neither the flag nor the config file gives it, the command
+    is refused before it runs.
     """
 
     name: str
@@ -105,6 +113,11 @@ class Option:
     default: object
     help: str
     choices: tuple[str, ...] | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
 _N = Option("n", _count, 100, "rows of B and Y")
@@ -120,6 +133,7 @@ _EPSILON = Option("epsilon", _real, 0.01,
                   "stop when the objective's relative change is at most this")
 _MAX_ITERS = Option("max_iters", _count, 100, "iteration cap of the solver")
 _SEED = Option("seed", _count, 0, "base RNG seed")
+_OUT_BUNDLE = Option("out", _path, None, "bundle directory to write", required=True)
 _NAMES = _items(_text, "names")
 
 
@@ -141,7 +155,7 @@ def _build_model(n: int, model_name: str, r: int | None, sizes: tuple[int, ...] 
 SYNTH_OPTIONS = (
     _N, _D, Option("m", _count, 1, "columns of X"), _MODEL, _R,
     Option("sizes", _items(_count, "integers"), None, "comma-separated block sizes for rlocal"),
-    _K, _SIGMA, _B_DIST, _SEED, Option("out", _text, None, "bundle directory to write"),
+    _K, _SIGMA, _B_DIST, _SEED, _OUT_BUNDLE,
 )
 
 
@@ -149,10 +163,7 @@ def cmd_synth(opts: dict) -> int:
     model = _build_model(opts["n"], opts["model"], opts["r"], opts["sizes"], opts["k"])
     synth = SynthConfig(n=opts["n"], d=opts["d"], m=opts["m"], model=model,
                         sigma=opts["sigma"], b_dist=opts["b_dist"], seed=opts["seed"])
-    if opts["out"] is None:
-        raise InvalidConfig("synth requires --out DIRECTORY")
-    instance = generate(synth)
-    save_bundle(instance, opts["out"], seed=synth.seed, model=model)
+    save_bundle(generate(synth), opts["out"], seed=synth.seed)
     print(f"wrote instance bundle to {opts['out']}")
     return 0
 
@@ -160,23 +171,19 @@ def cmd_synth(opts: dict) -> int:
 # ---------------------------------------------------------------- ingest
 
 INGEST_OPTIONS = (
-    Option("targets", _NAMES, (), "comma-separated target column names"),
-    Option("features", _NAMES, (), "comma-separated feature column names"),
-    Option("block_cols", _NAMES, (), "comma-separated blocking key columns"),
+    Option("targets", _NAMES, None, "comma-separated target column names", required=True),
+    Option("features", _NAMES, None, "comma-separated feature column names", required=True),
+    Option("block_cols", _NAMES, None, "comma-separated blocking key columns", required=True),
     Option("decimals", _int, 0, "decimals the blocking key is rounded to"),
-    _SEED, Option("out", _text, None, "bundle directory to write"),
+    _SEED, _OUT_BUNDLE,
 )
 
 
 def cmd_ingest(opts: dict) -> int:
-    if not opts["targets"] or not opts["features"]:
-        raise InvalidConfig("ingest requires --targets and --features column lists")
     rule = BlockRule(opts["block_cols"], decimals=opts["decimals"])
     seed, out = opts["seed"], opts["out"]
-    if out is None:
-        raise InvalidConfig("ingest requires --out DIRECTORY")
     instance = ingest_csv(opts["csv"], opts["targets"], opts["features"], rule, seed=seed)
-    save_bundle(instance, out, seed=seed, model=RLocal(instance.partition))
+    save_bundle(instance, out, seed=seed)
     print(f"ingested {instance.n} rows into {instance.partition.block_count} blocks "
           f"(largest {max(instance.partition.sizes)}), wrote {out}")
     return 0
@@ -214,7 +221,7 @@ SOLVE_OPTIONS = (
     Option("mode", _text, None, "solver mode (default: rlocal when the bundle has a partition)",
            ("rlocal", "ksparse")),
     _EPSILON, _MAX_ITERS,
-    Option("out", _text, None, "output directory (default: the bundle directory)"),
+    Option("out", _path, None, "output directory (default: the bundle directory)"),
 )
 
 
@@ -302,21 +309,19 @@ def _bench_task(spec: dict, config_hash: str, point_idx: int, value: float,
 
 
 BENCH_OPTIONS = (
-    Option("sweep", _text, None, "parameter the grid sweeps", ("r", "k", "sigma")),
-    Option("grid", _items(_real, "numbers"), None, "comma-separated sweep values"),
+    Option("sweep", _text, None, "parameter the grid sweeps", ("r", "k", "sigma"),
+           required=True),
+    Option("grid", _items(_real, "numbers"), None, "comma-separated sweep values",
+           required=True),
     Option("seeds", _positive, 15, "Monte-Carlo runs per grid point"),
     _N, _D, Option("m", _count, 10, "columns of X"), _MODEL, _R, _K, _SIGMA, _B_DIST,
     _EPSILON, _MAX_ITERS, _SEED,
     Option("threads", _positive, 1, "worker threads; rows do not depend on it"),
-    Option("out", _text, "sweep.csv", "sweep CSV; the aggregate and the ledger go beside it"),
+    Option("out", _path, "sweep.csv", "sweep CSV; the aggregate and the ledger go beside it"),
 )
 
 
 def cmd_bench(opts: dict) -> int:
-    if opts["sweep"] is None:
-        raise InvalidSpec("bench requires --sweep r|k|sigma")
-    if not opts["grid"]:
-        raise InvalidSpec("bench requires --grid v1,v2,..., got no values")
     if opts["sweep"] in ("r", "k") and not all(v.is_integer() for v in opts["grid"]):
         raise InvalidSpec(
             f"{opts['sweep']} grid values must be whole numbers, got {list(opts['grid'])}")
@@ -386,10 +391,9 @@ def _check_params(name: str, params: dict) -> None:
 
 VALIDATE_OPTIONS = (
     Option("checks", _NAMES, None, "comma-separated subset of checks (default: all)"),
-    Option("spec", _scalar(str, lambda value: isinstance(value, str) and value != ""), None,
-           "JSON suite spec {'checks': [{'check', 'params'}]}"),
+    Option("spec", _path, None, "JSON suite spec {'checks': [{'check', 'params'}]}"),
     Option("trials", _count, None, "override trial count for every check"),
-    _SEED, Option("out", _text, "reports.json", "reports JSON"),
+    _SEED, Option("out", _path, "reports.json", "reports JSON"),
 )
 
 
@@ -403,8 +407,6 @@ def _suite(opts: dict) -> list[tuple[str, dict]]:
     spec_path, names = opts["spec"], opts["checks"]
     if spec_path is None:
         entries = [{"check": name} for name in (DEFAULT_SUITE if names is None else names)]
-        if not entries:
-            raise InvalidSpec("checks must name at least one check")
     elif names is not None:
         raise InvalidSpec("give --checks or --spec, not both")
     else:
@@ -498,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
         for positional, help_text in command.positional:
             p.add_argument(positional, help=help_text)
         for opt in command.options:
-            shown = "" if opt.default in (None, ()) else f" (default {opt.default})"
-            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
-                           choices=opt.choices, help=opt.help + shown)
+            shown = (" (required)" if opt.required else
+                     "" if opt.default is None else f" (default {opt.default})")
+            p.add_argument(opt.flag, dest=opt.name, choices=opt.choices, help=opt.help + shown)
         p.add_argument("--config", help="JSON config file of option values; flags take precedence")
     return parser
 
@@ -508,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> dict:
     """Flag > config file > default for each of the command's options, typed and checked.
 
-    A config key that names no option of the command is ``InvalidConfig``.
+    A config key that names no option of the command, or a required option
+    that neither gives, is ``InvalidConfig``.
     """
     command = COMMANDS[args.command]
     config = {}
@@ -524,6 +527,8 @@ def _resolve(args) -> dict:
         value = getattr(args, opt.name)
         if value is None:
             value = config.get(opt.name)
+        if value is None and opt.required:
+            raise InvalidConfig(f"{args.command} requires {opt.flag}")
         typed = opt.default if value is None else opt.convert(opt.name, value)
         if value is not None and opt.choices and typed not in opt.choices:
             raise InvalidConfig(f"invalid value for {opt.name}: {value!r} "

@@ -16,6 +16,7 @@ Instance bundle layout (one directory):
 
 The meta.json model must agree with the truth.json partition: an r-local
 model names the partition's sizes, and a k-sparse model goes with no partition.
+``save_bundle`` derives the model from the instance, so it always agrees.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .errors import (EmptyBlockRule, InvalidConfig, NonFinite, NonNumeric,
                      ParseError, ShapeMismatch)
 from .linalg import SvdFactors, as_matrix, svd
 from .permutation import (BlockPartition, KSparse, Permutation, PermutationModel,
-                          RLocal, apply, sample_ksparse, sample_rlocal)
+                          RLocal, apply, hamming_distortion, sample_ksparse, sample_rlocal)
 
 
-def _check_sigma(sigma) -> None:
-    """A noise level must be finite and >= 0, the rule ``load_bundle`` applies to meta.json."""
+def _check_sigma(sigma, what: str = "sigma") -> None:
+    """A noise level must be finite and >= 0; ``what`` names it in the message."""
     value = sigma.item() if isinstance(sigma, np.generic) else sigma  # numpy scalars too
     if not (is_real(value) and value >= 0):
-        raise InvalidConfig(f"sigma must be a finite number >= 0, got {sigma!r}")
+        raise InvalidConfig(f"{what} must be a finite number >= 0, got {sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,12 +401,18 @@ def _read_matrix_csv_exact(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _model_to_dict(model: PermutationModel | None):
-    if model is None:
+def _model_to_dict(instance: ProblemInstance) -> dict | None:
+    """The ``meta.json`` model of an instance, so that it agrees with its truth.
+
+    r-local on the instance's partition, else k-sparse with k the rows
+    ``p_star`` moves, else None.
+    """
+    if instance.partition is not None:
+        return {"variant": "rlocal", "sizes": list(instance.partition.sizes)}
+    if instance.p_star is None:
         return None
-    if isinstance(model, RLocal):
-        return {"variant": "rlocal", "sizes": list(model.partition.sizes)}
-    return {"variant": "ksparse", "k": model.k}
+    return {"variant": "ksparse",
+            "k": hamming_distortion(instance.p_star, Permutation.identity(instance.n))}
 
 
 def model_from_dict(payload) -> PermutationModel | None:
@@ -424,9 +431,7 @@ def model_from_dict(payload) -> PermutationModel | None:
     return RLocal(BlockPartition(tuple(value))) if variant == "rlocal" else KSparse(value)
 
 
-def save_bundle(instance: ProblemInstance, out_dir,
-                seed: int | None = None,
-                model: PermutationModel | None = None) -> Path:
+def save_bundle(instance: ProblemInstance, out_dir, seed: int | None = None) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "B.csv", instance.B)
@@ -440,7 +445,7 @@ def save_bundle(instance: ProblemInstance, out_dir,
     if instance.source_rows is not None:
         truth["source_rows"] = instance.source_rows.tolist()
     (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n", encoding="utf-8")
-    meta = {"sigma": float(instance.sigma), "seed": seed, "model": _model_to_dict(model)}
+    meta = {"sigma": float(instance.sigma), "seed": seed, "model": _model_to_dict(instance)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return out
 
@@ -469,8 +474,7 @@ def load_bundle(bundle_dir) -> ProblemInstance:
     meta = _read_json_object(bundle / "meta.json")
     truth = _read_json_object(bundle / "truth.json")
     sigma = meta.get("sigma", 0.0)
-    if not (is_real(sigma) and sigma >= 0):
-        raise InvalidConfig(f"meta.json sigma must be a finite number >= 0, got {sigma!r}")
+    _check_sigma(sigma, "meta.json sigma")
     sizes = _truth_indices(truth, "partition")
     partition = None if sizes is None else BlockPartition(tuple(sizes))
     indices = _truth_indices(truth, "permutation")

@@ -379,8 +379,8 @@ BAD_SUITE_INPUTS = [
     ("spec", {"checks": [{"check": "chi2", "params": {"trials": 10.5}}]},
      "check chi2: invalid value for trials"),
     ("config", {"checks": 5}, "checks must be comma-separated names"),
-    ("config", {"checks": []}, "checks must name at least one check"),
-    ("config", {"checks": " , "}, "checks must name at least one check"),
+    ("config", {"checks": []}, "invalid value for checks: []"),
+    ("config", {"checks": " , "}, "invalid value for checks: ' , '"),
 ]
 
 
@@ -410,7 +410,7 @@ def test_validate_theory_integer_beyond_float_range_is_usage_error(tmp_path, cap
 def test_validate_theory_checks_flag_naming_no_check_is_usage_error(tmp_path, capsys, names):
     out = tmp_path / "r.json"
     assert run(["validate-theory", "--checks", names, "--out", out]) == 2
-    assert capsys.readouterr() == ("", "error: checks must name at least one check\n")
+    assert capsys.readouterr() == ("", f"error: invalid value for checks: {names!r}\n")
     assert not out.exists()
 
 
@@ -1073,7 +1073,7 @@ def test_bench_grid_with_no_values_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["bench", "--sweep", "r", "--grid", " , ", "--seeds", 1, "--n", 10,
                 "--d", 2, "--m", 1, "--out", out]) == 2
-    assert "no values" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: invalid value for grid: ' , '\n")
     assert not out.exists()
 
 
@@ -1423,15 +1423,23 @@ def test_zero_count_or_empty_spec_flag_is_usage_error_before_any_run(tmp_path, c
     assert not out.exists()
 
 
+_INGEST = ["ingest", "CSV", "--targets", "t1", "--features", "f1", "--block-cols", "key"]
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["synth", "--n", 8, "--r", 4], "synth requires --out DIRECTORY"),
+    (["synth", "--n", 8, "--r", 4], "synth requires --out"),
     (["ingest", "CSV", "--features", "f1", "--block-cols", "key", "--out", "OUT"],
-     "ingest requires --targets and --features column lists"),
+     "ingest requires --targets"),
     (["ingest", "CSV", "--targets", "t1", "--block-cols", "key", "--out", "OUT"],
-     "ingest requires --targets and --features column lists"),
-    (["ingest", "CSV", "--targets", "t1", "--features", "f1", "--block-cols", "key"],
-     "ingest requires --out DIRECTORY"),
-], ids=["synth-no-out", "ingest-no-targets", "ingest-no-features", "ingest-no-out"])
+     "ingest requires --features"),
+    (["ingest", "CSV", "--targets", "t1", "--features", "f1", "--out", "OUT"],
+     "ingest requires --block-cols"),
+    (_INGEST, "ingest requires --out"),
+    (["bench", "--grid", 2, "--seeds", 1, "--n", 10, "--out", "OUT"], "bench requires --sweep"),
+    (["bench", "--sweep", "r", "--seeds", 1, "--n", 10, "--out", "OUT"],
+     "bench requires --grid"),
+], ids=["synth-no-out", "ingest-no-targets", "ingest-no-features", "ingest-no-block-cols",
+        "ingest-no-out", "bench-no-sweep", "bench-no-grid"])
 def test_command_without_a_required_option_is_usage_error(tmp_path, capsys, argv, message):
     data = tmp_path / "t.csv"
     data.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n")
@@ -1439,6 +1447,88 @@ def test_command_without_a_required_option_is_usage_error(tmp_path, capsys, argv
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["synth", "--n", 8, "--r", 4], {"out": "OUT"}),
+    (["ingest", "CSV", "--out", "OUT"],
+     {"targets": ["t1"], "features": "f1", "block_cols": ["key"]}),
+    (["bench", "--seeds", 1, "--n", 10, "--d", 2, "--m", 1, "--out", "OUT"],
+     {"sweep": "r", "grid": [2]}),
+], ids=["synth", "ingest", "bench"])
+def test_required_option_given_only_in_the_config_file_is_taken(tmp_path, capsys, argv,
+                                                                 payload):
+    data = tmp_path / "t.csv"
+    data.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n")
+    out = tmp_path / "o"
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({k: str(out) if v == "OUT" else v for k, v in payload.items()}))
+    argv = [data if a == "CSV" else out if a == "OUT" else a for a in argv]
+    assert run(argv + ["--config", config]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
+# Each command with every required option given and its --out left to the test.
+_RUNNABLE = {
+    "synth": ["synth", "--n", 8, "--r", 4],
+    "ingest": _INGEST,
+    "solve": ["solve", "BUNDLE"],
+    "bench": _BENCH + ["--seeds", 1],
+    "validate-theory": ["validate-theory", "--checks", "chi2", "--trials", 10],
+}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_RUNNABLE))
+def test_empty_out_is_usage_error_that_writes_nothing(tmp_path, capsys, monkeypatch, command,
+                                                      where):
+    # Path("") is the working directory: an empty --out must not write there.
+    data = tmp_path / "t.csv"
+    data.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n")
+    bundle = _small_bundle(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [data if a == "CSV" else bundle if a == "BUNDLE" else a for a in _RUNNABLE[command]]
+    if where == "flag":
+        argv += ["--out", ""]
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text('{"out": ""}')
+        argv += ["--config", config]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: invalid value for out: ''\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    (["synth", "--n", 8, "--sizes", "", "--r", 4], None, "invalid value for sizes: ''"),
+    (["synth", "--n", 8, "--r", 4], {"sizes": []}, "invalid value for sizes: []"),
+    (["bench", "--sweep", "r", "--seeds", 1, "--n", 10], {"grid": []},
+     "invalid value for grid: []"),
+    (_INGEST[:2] + ["--targets", "", *_INGEST[4:]], None, "invalid value for targets: ''"),
+    (_INGEST[:4] + ["--features", ",", *_INGEST[6:]], None, "invalid value for features: ','"),
+    (_INGEST[:6], {"block_cols": []}, "invalid value for block_cols: []"),
+], ids=["sizes-flag", "sizes-config", "grid-config", "targets-flag", "features-flag",
+        "block-cols-config"])
+def test_empty_list_option_is_usage_error(tmp_path, capsys, argv, payload, message):
+    # --sizes "" once fell back to --r; no empty list stands for a default now.
+    # An empty --grid flag and --checks list are cases of the tests above.
+    data = tmp_path / "t.csv"
+    data.write_text("key,f1,t1\n1,0.5,2\n1,1.5,3\n")
+    out = tmp_path / "o"
+    argv = [data if a == "CSV" else a for a in argv] + ["--out", out]
+    if payload is not None:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(payload))
+        argv += ["--config", config]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys):
@@ -1607,6 +1697,20 @@ def test_help_lists_every_option_of_the_table(capsys, command):
     for opt in COMMANDS[command].options:
         assert f"--{opt.name.replace('_', '-')}" in text
     assert "--config" in text
+
+
+_REQUIRED_OPTIONS = {"synth": ["out"], "ingest": ["targets", "features", "block_cols", "out"],
+                     "solve": [], "bench": ["sweep", "grid"], "validate-theory": []}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_marks_exactly_the_required_options(capsys, command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    # one entry per option, its wrapped help lines included
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out.split("options:")[1])
+    marked = [entry.split()[0] for entry in entries if "(required)" in entry]
+    assert marked == [f"--{name.replace('_', '-')}" for name in _REQUIRED_OPTIONS[command]]
 
 
 # Values that no option of synth or bench may take; no digits in text, so none

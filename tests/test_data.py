@@ -478,7 +478,7 @@ def test_model_from_dict_rejects_malformed_models():
 def test_bundle_roundtrip(tmp_path):
     part = BlockPartition.equal_blocks(12, 3)
     inst = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), sigma=0.1, seed=7))
-    out = save_bundle(inst, tmp_path / "bundle", seed=7, model=RLocal(part))
+    out = save_bundle(inst, tmp_path / "bundle", seed=7)
     loaded = load_bundle(out)
     np.testing.assert_allclose(loaded.B, inst.B)
     np.testing.assert_allclose(loaded.Y, inst.Y)
@@ -490,7 +490,7 @@ def test_bundle_roundtrip(tmp_path):
 
 def test_bundle_without_meta_or_truth_reads_them_as_empty(tmp_path):
     inst = generate(SynthConfig(n=12, d=3, m=2, model=KSparse(4), sigma=0.1, seed=7))
-    out = save_bundle(inst, tmp_path / "bundle", seed=7, model=KSparse(4))
+    out = save_bundle(inst, tmp_path / "bundle", seed=7)
     (out / "meta.json").unlink()
     (out / "truth.json").unlink()
     loaded = load_bundle(out)
@@ -503,7 +503,7 @@ def test_bundle_without_meta_or_truth_reads_them_as_empty(tmp_path):
 def test_bundle_roundtrip_is_bit_exact(tmp_path):
     part = BlockPartition.equal_blocks(40, 4)
     inst = generate(SynthConfig(n=40, d=5, m=3, model=RLocal(part), sigma=0.3, seed=11))
-    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle", seed=11, model=RLocal(part)))
+    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle", seed=11))
     for got, want in ((loaded.B, inst.B), (loaded.Y, inst.Y), (loaded.y_star, inst.y_star)):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -514,7 +514,7 @@ def test_ingested_bundle_keeps_its_source_rows(tmp_path):
     # maps them back to the CSV. A synthesized bundle has no such key.
     inst = ingest_csv(toy_csv(tmp_path), ("t1",), ("f1", "f2"), BlockRule(("key",)), seed=1)
     assert inst.source_rows.tolist() == [1, 3, 5, 0, 2, 4]
-    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle", model=RLocal(inst.partition)))
+    loaded = load_bundle(save_bundle(inst, tmp_path / "bundle"))
     assert np.array_equal(loaded.source_rows, inst.source_rows)
     assert loaded.partition == inst.partition
     assert np.array_equal(loaded.p_star.map, inst.p_star.map)
@@ -522,6 +522,23 @@ def test_ingested_bundle_keeps_its_source_rows(tmp_path):
     out = save_bundle(synth, tmp_path / "synth")
     assert "source_rows" not in json.loads((out / "truth.json").read_text())
     assert load_bundle(out).source_rows is None
+
+
+def test_save_bundle_derives_the_model_from_the_instance(tmp_path):
+    # r-local on the partition, else k-sparse on the rows p_star moves, else none
+    part = BlockPartition.equal_blocks(12, 3)
+    rlocal = generate(SynthConfig(n=12, d=3, m=2, model=RLocal(part), seed=7))
+    ksparse = generate(SynthConfig(n=12, d=3, m=2, model=KSparse(4), seed=7))
+    bare = ProblemInstance(B=ksparse.B, Y=ksparse.Y)
+    for name, inst, model in (
+            ("rlocal", rlocal, {"variant": "rlocal", "sizes": [3, 3, 3, 3]}),
+            ("ksparse", ksparse, {"variant": "ksparse", "k": 4}),
+            ("bare", bare, None)):
+        out = save_bundle(inst, tmp_path / name)
+        assert json.loads((out / "meta.json").read_text())["model"] == model
+        loaded = load_bundle(out)
+        assert loaded.partition == inst.partition
+        assert loaded.Y.tobytes() == inst.Y.tobytes()
 
 
 def test_partition_and_permutation_take_integers_past_int64():

@@ -1,5 +1,8 @@
 import re
+import textwrap
 from pathlib import Path
+
+from _code_lines import code_lines
 
 pytest_plugins = ["pytester"]
 
@@ -32,3 +35,29 @@ def test_ci_workflow_runs_the_roadmap_tier1_command():
     assert f"        run: {command}\n" in workflow
     assert 'python-version: "3.11"' in workflow
     assert "run: pip install -e .[test]\n" in workflow
+
+
+def test_code_line_count_skips_blanks_comments_and_docstrings():
+    source = textwrap.dedent('''\
+        """Module docstring,
+        two lines."""
+
+        # a comment
+        import os  # a trailing comment counts as code
+
+
+        class A:
+            """Class docstring."""
+
+            def f(self):
+                """Function docstring.
+
+                With a blank line.
+                """
+                text = """not a docstring,
+
+                three lines, one blank"""
+                return text
+        ''')
+    # import, class, def, the two non-blank lines of text's string and return
+    assert code_lines(source) == 6
